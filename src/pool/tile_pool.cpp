@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/trace_hook.hpp"
+#include "sim/report_accumulator.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
@@ -128,8 +128,7 @@ std::int32_t TilePoolManager::select(time_us now) {
   for (std::size_t i = head_; i < pick; ++i)
     if (queue_[i].job >= 0) {
       ++queue_[i].skips;
-      ++queue_skips_;
-      if (trace_) trace_->on_queue_skip(now);
+      if (metrics_) metrics_->on_queue_skip(now);
     }
   last_pick_ = pick;
   return queue_[pick].job;
@@ -155,8 +154,7 @@ std::int32_t TilePoolManager::select_urgent(
   for (std::size_t i = head_; i < pick; ++i)
     if (queue_[i].job >= 0) {
       ++queue_[i].skips;
-      ++queue_skips_;
-      if (trace_) trace_->on_queue_skip(now);
+      if (metrics_) metrics_->on_queue_skip(now);
     }
   last_pick_ = pick;
   return queue_[pick].job;
@@ -455,7 +453,6 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
   reserved_[dst] = 0;
   migrating_[src] = 0;
   --migrations_in_flight_;
-  ++defrag_moves_;
   // The transfer only holds when the owner is still live on `src` and no
   // competing load overwrote the source mid-flight; otherwise the loaded
   // copy stays behind as an ordinary reusable cached configuration.
@@ -470,6 +467,7 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
   } else {
     store_.record_load(plan.dst, plan.config, now, plan.value);
   }
+  if (metrics_) metrics_->on_migration_done(now, plan.src, plan.dst, transfer);
   return transfer;
 }
 
@@ -484,7 +482,7 @@ void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
   owner_[dst] = plan.owner;
   held_[src] = 0;
   owner_[src] = -1;
-  ++defrag_moves_;
+  if (metrics_) metrics_->on_remap(now, plan.src, plan.dst, plan.owner);
 }
 
 // --- preemptive checkpointing -----------------------------------------------
@@ -522,26 +520,10 @@ void TilePoolManager::abort_checkpoint(PhysTileId tile) {
 // --- metrics ----------------------------------------------------------------
 
 void TilePoolManager::touch(time_us now) {
-  if (now > last_change_) {
-    const double frag = fragmentation_pct();
-    frag_integral_ += frag * static_cast<double>(now - last_change_);
-    last_change_ = now;
-    // The sample carries the fragmentation that *held over* the elapsed
-    // interval, so a replay can re-integrate the identical products.
-    if (trace_) trace_->on_frag_sample(now, frag);
-  }
-}
-
-double TilePoolManager::mean_fragmentation_pct(time_us horizon) const {
-  // Pool events (e.g. a prefetch completing after the last retire) may
-  // extend past the caller's horizon; average over the full observed span
-  // so the integral and the divisor always cover the same interval.
-  const time_us end = std::max(horizon, last_change_);
-  if (end <= 0) return 0.0;
-  double integral = frag_integral_;
-  if (end > last_change_)
-    integral += fragmentation_pct() * static_cast<double>(end - last_change_);
-  return integral / static_cast<double>(end);
+  // The sample carries the fragmentation that *held over* the elapsed
+  // interval, so the integral multiplies it by that interval.
+  if (metrics_ && metrics_->frag_sample_due(now))
+    metrics_->on_frag_sample(now, fragmentation_pct());
 }
 
 std::size_t TilePoolManager::checked(PhysTileId tile) const {

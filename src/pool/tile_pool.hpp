@@ -33,8 +33,11 @@
 /// Fragmentation metric: 100 * (1 - largest_free_block / free_count), the
 /// classic external-fragmentation measure — 0 when every free tile is in
 /// one contiguous run, approaching 100 when free tiles are scattered
-/// singletons. The pool integrates it over simulated time so reports carry
-/// a time-weighted mean, not a snapshot.
+/// singletons. The pool samples it at every occupancy change into the
+/// attached ReportAccumulator (sim/report_accumulator.hpp), which integrates
+/// it over simulated time so reports carry a time-weighted mean, not a
+/// snapshot. Queue skips and completed relocations are reported to the
+/// same accumulator; a pool without one keeps no metrics.
 ///
 /// The pool never touches the event queue or the port: the simulator asks
 /// it *what* to do (select / offer / plan_defrag) and tells it what
@@ -54,7 +57,7 @@
 
 namespace drhw {
 
-class TraceSink;  // sim/trace_hook.hpp — structured event-trace observer
+class ReportAccumulator;  // sim/report_accumulator.hpp — report metrics
 
 /// Which queued instance may be admitted next onto the tile pool.
 enum class AdmissionPolicy {
@@ -115,9 +118,10 @@ class TilePoolManager {
   /// kernel's perf-counter layer. Optional; may be null.
   void set_perf_counters(PerfCounters* perf) { perf_ = perf; }
 
-  /// Routes the pool's replay-relevant samples (queue skips, fragmentation
-  /// integral advances) to the kernel's trace sink. Optional; may be null.
-  void set_trace_sink(TraceSink* trace) { trace_ = trace; }
+  /// Routes the pool's report metrics (queue skips, fragmentation samples,
+  /// completed relocations) to the kernel's accumulator, which also
+  /// forwards them to the trace sink. Optional; may be null.
+  void set_accumulator(ReportAccumulator* metrics) { metrics_ = metrics; }
 
   // --- admission queue (strict arrival order) -----------------------------
   //
@@ -137,8 +141,8 @@ class TilePoolManager {
   std::int32_t waiting_at(std::size_t i) const;
   std::int32_t queue_head() const;
 
-  /// Next admissible queued job under the admission policy, or -1. Charges
-  /// the queue-skip metric for every older instance the pick overtakes; the
+  /// Next admissible queued job under the admission policy, or -1. Reports
+  /// a queue skip for every older instance the pick overtakes; the
   /// caller must follow up with offer() + occupy() for the returned job.
   std::int32_t select(time_us now);
 
@@ -147,7 +151,7 @@ class TilePoolManager {
   /// `urgency(job)`, ties broken by arrival order. The configured
   /// `max_bypass` starvation bound still protects the queue head: once the
   /// head has been overtaken that many times, nothing else is admitted
-  /// until the head fits. Charges the queue-skip metric like select();
+  /// until the head fits. Reports queue skips like select();
   /// same offer() + occupy() follow-up contract. Scans the whole backlog
   /// (urgency is not arrival-monotone), so it is O(queue) per admission.
   std::int32_t select_urgent(
@@ -259,13 +263,6 @@ class TilePoolManager {
   /// the tile stays held by its owner as if nothing happened.
   void abort_checkpoint(PhysTileId tile);
 
-  // --- metrics -------------------------------------------------------------
-
-  long queue_skips() const { return queue_skips_; }
-  long defrag_moves() const { return defrag_moves_; }
-  /// Time-weighted mean fragmentation over [0, horizon]; 0 for horizon 0.
-  double mean_fragmentation_pct(time_us horizon) const;
-
  private:
   struct Waiting {
     std::int32_t job = -1;
@@ -295,7 +292,7 @@ class TilePoolManager {
   WindowScan scan_window(int start, int needed,
                          const std::vector<char>& movable) const;
   std::size_t checked(PhysTileId tile) const;
-  /// Integrates the fragmentation metric up to `now`.
+  /// Samples the fragmentation that held up to `now` into the metrics.
   void touch(time_us now);
 
   PoolOptions options_;
@@ -309,18 +306,13 @@ class TilePoolManager {
   std::size_t queued_count_ = 0;  ///< live (non-tombstone) entries
   std::size_t last_pick_ = static_cast<std::size_t>(-1);  ///< select()'s pick
   PerfCounters* perf_ = nullptr;
-  TraceSink* trace_ = nullptr;
+  ReportAccumulator* metrics_ = nullptr;
 
   std::vector<char> migrating_;  ///< per-tile: source of an in-flight move
   int migrations_in_flight_ = 0;
   int defrag_window_ = -1;       ///< sticky target window start
   int defrag_window_size_ = 0;   ///< its extent (the planned-for head's need)
   std::int32_t defrag_target_ = -1; ///< queue head the window was planned for
-
-  long queue_skips_ = 0;
-  long defrag_moves_ = 0;
-  double frag_integral_ = 0.0;
-  time_us last_change_ = 0;
 };
 
 }  // namespace drhw

@@ -16,6 +16,7 @@
 #include "prefetch/load_plan.hpp"
 #include "reuse/config_store.hpp"
 #include "schedule/list_scheduler.hpp"
+#include "sim/report_accumulator.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
@@ -126,7 +127,7 @@ class SystemSimulation {
       }
       step(*current.scenario, upcoming);
     }
-    finalize();
+    ReportAccumulator::derive_ratios(report_);
     return report_;
   }
 
@@ -396,40 +397,19 @@ class SystemSimulation {
   void account(const PreparedScenario& inst, const Binding& binding,
                const SequentialSchedule& sched) {
     const SubtaskGraph& graph = *inst.graph;
-    report_.total_ideal += inst.ideal;
-    report_.total_actual += sched.span;
-    ++report_.instances;
-
     long drhw = 0;
     double exec_energy = 0.0;
     for (std::size_t s = 0; s < graph.size(); ++s) {
       if (inst.placement.on_drhw(static_cast<SubtaskId>(s))) ++drhw;
       exec_energy += graph.subtask(static_cast<SubtaskId>(s)).exec_energy;
     }
-    report_.drhw_subtask_instances += drhw;
+    const auto init_loads = static_cast<long>(sched.init_loads.size());
+    ReportAccumulator::fold_instance(
+        report_, inst.ideal, sched.span, drhw, exec_energy,
+        options_.platform.reconfig_energy, init_loads + sched.eval.loads,
+        init_loads);
     report_.reused_subtasks += binding.reused_subtasks;
-
-    const long instance_loads =
-        static_cast<long>(sched.init_loads.size()) + sched.eval.loads;
-    report_.loads += instance_loads;
-    report_.init_loads += static_cast<long>(sched.init_loads.size());
     report_.cancelled_loads += sched.cancelled_loads;
-    report_.energy +=
-        exec_energy +
-        options_.platform.reconfig_energy * static_cast<double>(instance_loads);
-    report_.energy_saved += options_.platform.reconfig_energy *
-                            static_cast<double>(drhw - instance_loads);
-  }
-
-  void finalize() {
-    if (report_.total_ideal > 0)
-      report_.overhead_pct =
-          100.0 *
-          static_cast<double>(report_.total_actual - report_.total_ideal) /
-          static_cast<double>(report_.total_ideal);
-    if (report_.drhw_subtask_instances > 0)
-      report_.reuse_pct = 100.0 * static_cast<double>(report_.reused_subtasks) /
-                          static_cast<double>(report_.drhw_subtask_instances);
   }
 
   struct QueuedInstance {

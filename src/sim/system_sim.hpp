@@ -17,6 +17,7 @@
 #include "prefetch/evaluator.hpp"
 #include "reuse/reuse_module.hpp"
 #include "schedule/placement.hpp"
+#include "sim/report.hpp"
 #include "util/rng.hpp"
 
 namespace drhw {
@@ -120,25 +121,6 @@ struct SimOptions {
   /// Collect the per-instance spans into SimReport::spans (equivalence
   /// tests against the online kernel; off by default to keep reports small).
   bool record_spans = false;
-};
-
-/// Aggregate results over all iterations.
-struct SimReport {
-  time_us total_ideal = 0;
-  time_us total_actual = 0;
-  double overhead_pct = 0.0;  ///< 100 * (actual - ideal) / ideal
-  long instances = 0;
-  long drhw_subtask_instances = 0;
-  long reused_subtasks = 0;  ///< resident at bind time (incl. prefetched)
-  double reuse_pct = 0.0;
-  long loads = 0;            ///< loads performed (incl. init + prefetches)
-  long init_loads = 0;       ///< loads in hybrid initialization phases
-  long cancelled_loads = 0;  ///< stored loads cancelled by the hybrid
-  long intertask_prefetches = 0;
-  double energy = 0.0;        ///< exec + reconfiguration energy
-  double energy_saved = 0.0;  ///< reconfiguration energy avoided via reuse
-  /// Per-instance spans in stream order (only when SimOptions::record_spans).
-  std::vector<time_us> spans;
 };
 
 /// Simulates `options.iterations` iterations of the sampler's stream.

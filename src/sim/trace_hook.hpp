@@ -3,18 +3,20 @@
 /// \file trace_hook.hpp
 /// Observer interface between the online kernel and the trace subsystem.
 ///
-/// The kernel (sim/event_sim.cpp) and the tile pool (pool/tile_pool.cpp)
-/// call into a TraceSink at every accounting site, in dispatch order, with
-/// the exact inputs the site folds into the OnlineReport. That makes a
-/// recorded trace a *machine-checked observability contract*: replaying the
-/// event stream re-performs the identical integer/floating-point
-/// accumulations in the identical order, so the re-derived report is
-/// bit-identical to the live one (src/trace/replay.cpp asserts this; the
-/// wall-clock `perf` counters are the one documented exclusion).
+/// The kernel's report arithmetic lives in one ReportAccumulator
+/// (sim/report_accumulator.hpp), fed at every accounting site by the kernel
+/// (sim/event_sim.cpp) and the tile pool (pool/tile_pool.cpp). The
+/// accumulator forwards each call here, in dispatch order, with the exact
+/// inputs it folded. That makes a recorded trace a *machine-checked
+/// observability contract*: replay (src/trace/replay.cpp) feeds the
+/// recorded inputs back into the same accumulator, so the re-derived report
+/// is bit-identical to the live one exactly when the trace carries every
+/// input (verify_trace asserts this; the wall-clock `perf` counters are the
+/// one documented exclusion).
 ///
 /// The interface lives here — not under src/trace/ — so the kernel depends
 /// only on this leaf header and never on the trace subsystem's I/O code.
-/// Every method is a no-op by default and the kernel holds a nullable
+/// Every method is a no-op by default and the accumulator holds a nullable
 /// pointer (OnlineSimOptions::trace), so an untraced run does one null
 /// check per site and nothing else: behaviour and reports stay
 /// bit-identical with tracing off.
@@ -106,7 +108,7 @@ class TraceSink {
   /// An admission overtook one older queued instance.
   virtual void on_queue_skip(time_us /*t*/) {}
   /// The pool's fragmentation integral advanced: `frag_pct` held over
-  /// (previous sample, t]. Mirrors TilePoolManager::touch() exactly.
+  /// (previous sample, t] (ReportAccumulator::on_frag_sample).
   virtual void on_frag_sample(time_us /*t*/, double /*frag_pct*/) {}
 
   // -- end of run ----------------------------------------------------------

@@ -2,12 +2,17 @@
 /// Trace ingestion for both encodings. The format is sniffed from the
 /// first bytes (the binary magic), so callers never pass a format flag.
 /// Forward compatibility: unknown JSONL keys and event names, and unknown
-/// framed binary record kinds, are skipped; a missing footer leaves
-/// has_live false (truncated traces still read and render).
+/// framed binary record kinds, are skipped. Truncated traces still read and
+/// render: a missing footer leaves has_live false, and a record torn at the
+/// end of the file (a binary frame or payload running past EOF, or a final
+/// JSONL line with no newline that does not parse) is dropped with it. A
+/// malformed record anywhere else, or a torn header, still throws.
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "trace/trace_detail.hpp"
 #include "util/json.hpp"
@@ -18,31 +23,18 @@ namespace {
 
 constexpr std::size_t k_known_kinds =
     static_cast<std::size_t>(TraceEvent::Kind::run_end) + 1;
-// Fixed part of a binary event payload, before the tile list.
-constexpr std::size_t k_fixed_payload = 88;
 
+/// Absent keys keep TraceEvent's defaults.
 TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
-  auto num = [&](const char* key, double fallback) {
-    const json::Value* v = obj.find(key);
-    return v != nullptr ? v->number : fallback;
-  };
   TraceEvent ev;
   ev.kind = kind;
-  ev.t = static_cast<time_us>(num("t", 0.0));
-  ev.job = static_cast<std::int32_t>(num("job", -1.0));
-  ev.subtask = static_cast<std::int32_t>(num("sub", -1.0));
-  ev.prep = static_cast<std::int32_t>(num("prep", -1.0));
-  ev.config = static_cast<std::int64_t>(num("cfg", -1.0));
-  ev.unit = static_cast<std::int32_t>(num("unit", -1.0));
-  ev.duration = static_cast<time_us>(num("dur", 0.0));
-  ev.src = static_cast<std::int32_t>(num("src", -1.0));
-  ev.dst = static_cast<std::int32_t>(num("dst", -1.0));
-  ev.loads = static_cast<std::int64_t>(num("loads", 0.0));
-  ev.aux = static_cast<std::int64_t>(num("aux", 0.0));
-  ev.init = static_cast<std::int64_t>(num("init", 0.0));
-  ev.deadline = static_cast<time_us>(
-      num("dl", static_cast<double>(k_no_time)));
-  ev.value = num("val", 0.0);
+  if (const json::Value* t = obj.find("t"))
+    ev.t = static_cast<time_us>(t->number);
+  trace_detail::visit_event_fields([&](const char* key, auto member) {
+    using Field = std::remove_reference_t<decltype(ev.*member)>;
+    if (const json::Value* v = obj.find(key))
+      ev.*member = static_cast<Field>(v->number);
+  });
   if (const json::Value* tiles = obj.find("tiles"))
     for (const json::Value& v : tiles->items)
       ev.tiles.push_back(static_cast<PhysTileId>(v.number));
@@ -51,11 +43,13 @@ TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
 
 TraceData read_jsonl(const std::string& text) {
   TraceData trace;
-  std::istringstream in(text);
-  std::string line;
   bool have_header = false;
   std::size_t line_no = 0;
-  while (std::getline(in, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string line = text.substr(pos, end - pos);
+    const bool torn = end == text.size();  // no newline: the write stopped
+    pos = end + 1;
     ++line_no;
     if (line.empty()) continue;
     if (!have_header) {
@@ -63,8 +57,13 @@ TraceData read_jsonl(const std::string& text) {
       have_header = true;
       continue;
     }
-    const json::Value obj = json::parse(
-        line, "trace line " + std::to_string(line_no));
+    json::Value obj;
+    try {
+      obj = json::parse(line, "trace line " + std::to_string(line_no));
+    } catch (const std::invalid_argument&) {
+      if (torn) break;  // a torn final record: keep the prefix
+      throw;
+    }
     if (const json::Value* report = obj.find("report")) {
       // Re-parse the member through the bit-exact report reader. The
       // footer is the last line; anything after it would be malformed.
@@ -93,30 +92,19 @@ TraceData read_jsonl(const std::string& text) {
 TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
                              TraceEvent::Kind kind) {
   namespace td = trace_detail;
-  if (len < k_fixed_payload + 2)
+  if (len < td::k_fixed_payload + 2)
     throw std::invalid_argument("trace: truncated binary event payload");
   TraceEvent ev;
   ev.kind = kind;
-  ev.t = td::get_i64(p);
-  ev.job = td::get_i32(p + 8);
-  ev.subtask = td::get_i32(p + 12);
-  ev.prep = td::get_i32(p + 16);
-  ev.config = td::get_i64(p + 20);
-  ev.unit = td::get_i32(p + 28);
-  ev.duration = td::get_i64(p + 32);
-  ev.src = td::get_i32(p + 40);
-  ev.dst = td::get_i32(p + 44);
-  ev.loads = td::get_i64(p + 48);
-  ev.aux = td::get_i64(p + 56);
-  ev.init = td::get_i64(p + 64);
-  ev.deadline = td::get_i64(p + 72);
-  ev.value = td::get_f64(p + 80);
-  const std::uint16_t n_tiles = td::get_u16(p + 88);
-  if (len < k_fixed_payload + 2 + 4ull * n_tiles)
+  const unsigned char* at = td::get_field(p, ev.t);
+  td::visit_event_fields(
+      [&](const char*, auto member) { at = td::get_field(at, ev.*member); });
+  std::uint16_t n_tiles = 0;
+  at = td::get_field(at, n_tiles);
+  if (len < td::k_fixed_payload + 2 + 4ull * n_tiles)
     throw std::invalid_argument("trace: binary event tile list truncated");
-  ev.tiles.reserve(n_tiles);
-  for (std::uint16_t i = 0; i < n_tiles; ++i)
-    ev.tiles.push_back(td::get_i32(p + 90 + 4 * i));
+  ev.tiles.resize(n_tiles);
+  for (PhysTileId& tile : ev.tiles) at = td::get_field(at, tile);
   return ev;
 }
 
@@ -135,28 +123,26 @@ TraceData read_binary(const std::string& text) {
   trace.header = td::header_from_json(
       std::string(text, at, header_len));
   at += header_len;
+  // A frame or payload running past EOF is a record torn by a stopped
+  // write: drop it and keep the prefix.
   while (at < size) {
     const std::uint8_t kind_byte = data[at];
     ++at;
     if (kind_byte == td::k_footer_kind) {
-      if (size < at + 4)
-        throw std::invalid_argument("trace: binary footer frame truncated");
+      if (size < at + 4) break;
       const std::uint32_t report_len = td::get_u32(data + at);
       at += 4;
-      if (size < at + report_len)
-        throw std::invalid_argument("trace: binary footer truncated");
+      if (size < at + report_len) break;
       trace.live = online_report_from_json(
           std::string(text, at, report_len));
       trace.has_live = true;
       at += report_len;
       continue;
     }
-    if (size < at + 2)
-      throw std::invalid_argument("trace: binary record frame truncated");
+    if (size < at + 2) break;
     const std::uint16_t payload_len = td::get_u16(data + at);
     at += 2;
-    if (size < at + payload_len)
-      throw std::invalid_argument("trace: binary record truncated");
+    if (size < at + payload_len) break;
     if (kind_byte < k_known_kinds)
       trace.events.push_back(event_from_binary(
           data + at, payload_len, static_cast<TraceEvent::Kind>(kind_byte)));

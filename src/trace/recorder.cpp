@@ -15,6 +15,15 @@ namespace {
 
 std::ofstream& stream(void* out) { return *static_cast<std::ofstream*>(out); }
 
+/// An event with the fields every kind sets; the rest keep their defaults.
+TraceEvent stamp(TraceEvent::Kind kind, time_us t, std::int32_t job = -1) {
+  TraceEvent ev;
+  ev.kind = kind;
+  ev.t = t;
+  ev.job = job;
+  return ev;
+}
+
 }  // namespace
 
 TraceRecorder::TraceRecorder(const std::string& path, TraceFormat format,
@@ -113,10 +122,7 @@ void TraceRecorder::on_prep(int prep, const char* name, time_us ideal,
 
 void TraceRecorder::on_arrival(time_us t, std::int32_t job, int prep,
                                time_us deadline, int crit) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::arrival;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::arrival, t, job);
   ev.prep = prep;
   ev.deadline = deadline;
   ev.aux = crit;
@@ -126,10 +132,7 @@ void TraceRecorder::on_arrival(time_us t, std::int32_t job, int prep,
 void TraceRecorder::on_admit(time_us t, std::int32_t job, long reused,
                              long cancelled, std::size_t init_count,
                              const std::vector<PhysTileId>& tiles) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::admit;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::admit, t, job);
   ev.loads = reused;
   ev.aux = cancelled;
   ev.init = static_cast<std::int64_t>(init_count);
@@ -138,19 +141,12 @@ void TraceRecorder::on_admit(time_us t, std::int32_t job, long reused,
 }
 
 void TraceRecorder::on_sched_done(time_us t, std::int32_t job) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::sched_done;
-  ev.t = t;
-  ev.job = job;
-  record(ev);
+  record(stamp(TraceEvent::Kind::sched_done, t, job));
 }
 
 void TraceRecorder::on_retire(time_us t, std::int32_t job, long loads,
                               std::size_t init_count) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::retire;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::retire, t, job);
   ev.loads = loads;
   ev.init = static_cast<std::int64_t>(init_count);
   record(ev);
@@ -158,10 +154,7 @@ void TraceRecorder::on_retire(time_us t, std::int32_t job, long loads,
 
 void TraceRecorder::on_deadline_miss(time_us t, std::int32_t job,
                                      time_us lateness) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::deadline_miss;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::deadline_miss, t, job);
   ev.deadline = lateness;
   record(ev);
 }
@@ -170,10 +163,7 @@ void TraceRecorder::on_load_start(time_us t, std::int32_t job,
                                   SubtaskId subtask, ConfigId config,
                                   std::size_t port, time_us duration,
                                   PhysTileId tile) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::load_start;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::load_start, t, job);
   ev.subtask = subtask;
   ev.config = config;
   ev.unit = static_cast<std::int32_t>(port);
@@ -184,10 +174,7 @@ void TraceRecorder::on_load_start(time_us t, std::int32_t job,
 
 void TraceRecorder::on_load_done(time_us t, std::int32_t job,
                                  SubtaskId subtask, PhysTileId tile) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::load_done;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::load_done, t, job);
   ev.subtask = subtask;
   ev.src = tile;
   record(ev);
@@ -196,10 +183,7 @@ void TraceRecorder::on_load_done(time_us t, std::int32_t job,
 void TraceRecorder::on_prefetch_start(time_us t, std::int32_t queued_job,
                                       ConfigId config, std::size_t port,
                                       time_us duration, PhysTileId tile) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::prefetch_start;
-  ev.t = t;
-  ev.job = queued_job;
+  TraceEvent ev = stamp(TraceEvent::Kind::prefetch_start, t, queued_job);
   ev.config = config;
   ev.unit = static_cast<std::int32_t>(port);
   ev.duration = duration;
@@ -209,9 +193,7 @@ void TraceRecorder::on_prefetch_start(time_us t, std::int32_t queued_job,
 
 void TraceRecorder::on_prefetch_done(time_us t, PhysTileId tile,
                                      ConfigId config) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::prefetch_done;
-  ev.t = t;
+  TraceEvent ev = stamp(TraceEvent::Kind::prefetch_done, t);
   ev.config = config;
   ev.src = tile;
   record(ev);
@@ -220,10 +202,7 @@ void TraceRecorder::on_prefetch_done(time_us t, PhysTileId tile,
 void TraceRecorder::on_migration_start(time_us t, std::size_t port,
                                        time_us duration, PhysTileId src,
                                        PhysTileId dst, std::int32_t owner) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::migration_start;
-  ev.t = t;
-  ev.job = owner;
+  TraceEvent ev = stamp(TraceEvent::Kind::migration_start, t, owner);
   ev.unit = static_cast<std::int32_t>(port);
   ev.duration = duration;
   ev.src = src;
@@ -233,9 +212,7 @@ void TraceRecorder::on_migration_start(time_us t, std::size_t port,
 
 void TraceRecorder::on_migration_done(time_us t, PhysTileId src,
                                       PhysTileId dst, bool transferred) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::migration_done;
-  ev.t = t;
+  TraceEvent ev = stamp(TraceEvent::Kind::migration_done, t);
   ev.src = src;
   ev.dst = dst;
   ev.aux = transferred ? 1 : 0;
@@ -244,10 +221,7 @@ void TraceRecorder::on_migration_done(time_us t, PhysTileId src,
 
 void TraceRecorder::on_remap(time_us t, PhysTileId src, PhysTileId dst,
                              std::int32_t owner) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::remap;
-  ev.t = t;
-  ev.job = owner;
+  TraceEvent ev = stamp(TraceEvent::Kind::remap, t, owner);
   ev.src = src;
   ev.dst = dst;
   record(ev);
@@ -256,10 +230,7 @@ void TraceRecorder::on_remap(time_us t, PhysTileId src, PhysTileId dst,
 void TraceRecorder::on_checkpoint_start(time_us t, std::size_t port,
                                         time_us duration,
                                         std::int32_t victim) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::checkpoint_start;
-  ev.t = t;
-  ev.job = victim;
+  TraceEvent ev = stamp(TraceEvent::Kind::checkpoint_start, t, victim);
   ev.unit = static_cast<std::int32_t>(port);
   ev.duration = duration;
   record(ev);
@@ -267,10 +238,7 @@ void TraceRecorder::on_checkpoint_start(time_us t, std::size_t port,
 
 void TraceRecorder::on_preempt(time_us t, std::int32_t victim, long loads,
                                std::size_t init_count) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::preempt;
-  ev.t = t;
-  ev.job = victim;
+  TraceEvent ev = stamp(TraceEvent::Kind::preempt, t, victim);
   ev.loads = loads;
   ev.init = static_cast<std::int64_t>(init_count);
   record(ev);
@@ -279,10 +247,7 @@ void TraceRecorder::on_preempt(time_us t, std::int32_t victim, long loads,
 void TraceRecorder::on_exec_start(time_us t, std::int32_t job,
                                   SubtaskId subtask, time_us duration,
                                   std::int64_t unit, bool isp) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::exec_start;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::exec_start, t, job);
   ev.subtask = subtask;
   ev.unit = static_cast<std::int32_t>(unit);
   ev.duration = duration;
@@ -292,33 +257,23 @@ void TraceRecorder::on_exec_start(time_us t, std::int32_t job,
 
 void TraceRecorder::on_exec_done(time_us t, std::int32_t job,
                                  SubtaskId subtask) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::exec_done;
-  ev.t = t;
-  ev.job = job;
+  TraceEvent ev = stamp(TraceEvent::Kind::exec_done, t, job);
   ev.subtask = subtask;
   record(ev);
 }
 
 void TraceRecorder::on_queue_skip(time_us t) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::queue_skip;
-  ev.t = t;
-  record(ev);
+  record(stamp(TraceEvent::Kind::queue_skip, t));
 }
 
 void TraceRecorder::on_frag_sample(time_us t, double frag_pct) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::frag;
-  ev.t = t;
+  TraceEvent ev = stamp(TraceEvent::Kind::frag, t);
   ev.value = frag_pct;
   record(ev);
 }
 
 void TraceRecorder::on_run_end(time_us horizon, double final_frag_pct) {
-  TraceEvent ev;
-  ev.kind = TraceEvent::Kind::run_end;
-  ev.t = horizon;
+  TraceEvent ev = stamp(TraceEvent::Kind::run_end, horizon);
   ev.value = final_frag_pct;
   record(ev);
 }

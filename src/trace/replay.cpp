@@ -1,209 +1,158 @@
 /// \file replay.cpp
-/// Re-derives an OnlineReport from a trace's event stream. The whole point
-/// is *bit*-identity with the live run, so every accumulation below mirrors
-/// the kernel's accounting site for that event verbatim — same expression
-/// grouping, same floating-point accumulation order (the event stream is in
-/// dispatch order, which is the order the kernel performed these updates).
-/// When the kernel's accounting changes, the mirrored site here must change
-/// with it — tests/test_trace.cpp and the CI replay gate fail otherwise.
+/// Re-derives an OnlineReport from a trace's event stream: walk the events
+/// in recorded (dispatch) order and feed each one's inputs to the kernel's
+/// own ReportAccumulator (sim/report_accumulator.hpp). The arithmetic is the
+/// kernel's, so the replayed report is bit-identical to the live one
+/// whenever the trace carries every input the accumulator folds — the
+/// property verify_trace() checks. Replay keeps only what the kernel keeps
+/// per job (arrival, admit, deadline, criticality, preparation) and rejects
+/// events whose job ids it cannot index that state with.
 
-#include <cstring>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
-#include "trace/trace.hpp"
-#include "util/p2_quantile.hpp"
+#include "sim/report_accumulator.hpp"
+#include "trace/trace_detail.hpp"
 
 namespace drhw {
 
 namespace {
 
-/// Grows `v` so that `index` is addressable, filling with `fill`.
-template <typename T>
-T& slot_at(std::vector<T>& v, std::int32_t index, T fill) {
-  const auto at = static_cast<std::size_t>(index);
-  if (v.size() <= at) v.resize(at + 1, fill);
-  return v[at];
+/// The per-job inputs the kernel holds and the accumulator is passed.
+struct ReplayJob {
+  time_us arrival = k_no_time;
+  time_us admit = k_no_time;
+  time_us deadline = k_no_time;
+  std::int32_t prep = -1;
+  std::int32_t crit = 0;
+};
+
+[[noreturn]] void reject(std::size_t index, const TraceEvent& ev,
+                         const std::string& why) {
+  throw std::invalid_argument(
+      "trace replay: event " + std::to_string(index) + " (" +
+      to_string(ev.kind) + ", job " + std::to_string(ev.job) + "): " + why);
 }
 
 }  // namespace
 
 OnlineReport replay_trace(const TraceData& trace) {
   const TraceHeader& header = trace.header;
-  const double reconfig_energy = header.reconfig_energy;
-  const bool rt = header.deadline_scale > 0.0;
-  const auto ports = static_cast<std::size_t>(
-      header.reconfig_ports > 0 ? header.reconfig_ports : 1);
-
-  OnlineReport report;
-  // Mirrors of the kernel's scalar accumulators (same names, same types).
-  double queue_sum = 0.0;
-  time_us queue_max = 0;
-  double response_sum = 0.0;
-  time_us response_max = 0;
-  QuantileSketch response_sketch;
-  time_us horizon = 0;
-  double lateness_sum = 0.0;
-  time_us max_tardiness = 0;
-  long migrations_in_flight = 0;
-  long peak_migrations = 0;
-  time_us isp_busy = 0;
-  // Port mirror (PortSet): never-dispatched ports stay free at 0.
-  std::vector<time_us> port_free(ports, 0);
-  std::vector<time_us> port_busy(ports, 0);
-  time_us total_busy = 0;
-  // Pool fragmentation mirror (TilePoolManager::touch / mean_...):
-  double frag_integral = 0.0;
-  time_us frag_last = 0;
-  double final_frag = 0.0;
-  // Per-job state captured from arrival/admit, consumed at retire.
-  std::vector<time_us> arrival_of;
-  std::vector<time_us> admit_of;
-  std::vector<time_us> deadline_of;
-  std::vector<std::int32_t> crit_of;
-  std::vector<std::int32_t> prep_of;
-  long total_jobs = 0;
-
-  auto dispatch_port = [&](const TraceEvent& ev) {
-    if (ev.unit < 0 || static_cast<std::size_t>(ev.unit) >= ports)
-      throw std::invalid_argument("trace replay: port " +
-                                  std::to_string(ev.unit) + " out of range");
+  ReportAccumulator::Setup setup;
+  setup.reconfig_energy = header.reconfig_energy;
+  setup.isps = header.isps;
+  setup.deadlines = header.deadline_scale > 0.0;
+  setup.record_spans = header.record_spans;
+  ReportAccumulator acc(setup);
+  for (std::size_t p = 0; p < header.preps.size(); ++p) {
+    const TracePrep& prep = header.preps[p];
+    acc.on_prep(static_cast<int>(p), prep.name.c_str(), prep.ideal,
+                prep.drhw_subtasks, prep.exec_energy, prep.subtasks);
+  }
+  // Never-dispatched ports stay free at 0, as in the kernel.
+  PortSet ports(std::max(header.reconfig_ports, 1));
+  std::vector<ReplayJob> jobs;
+  // A complete trace holds at least an arrival and a retire per job, so no
+  // valid job id reaches the event count — and none may size a vector.
+  auto job_of = [&](const TraceEvent& ev, std::size_t index,
+                    bool must_have_arrived) -> ReplayJob& {
+    if (ev.job < 0 || static_cast<std::size_t>(ev.job) >= trace.events.size())
+      reject(index, ev, "job id out of range");
+    const auto at = static_cast<std::size_t>(ev.job);
+    if (jobs.size() <= at) jobs.resize(at + 1);
+    if (must_have_arrived && jobs[at].arrival == k_no_time)
+      reject(index, ev, "no earlier arrival");
+    return jobs[at];
+  };
+  // The port-charging events replay their dispatch onto the same PortSet
+  // the kernel dispatches onto.
+  auto dispatch = [&](const TraceEvent& ev, std::size_t index) {
     const auto port = static_cast<std::size_t>(ev.unit);
-    port_free[port] = ev.t + ev.duration;
-    port_busy[port] += ev.duration;
-    total_busy += ev.duration;
+    if (ev.unit < 0 || port >= ports.size())
+      reject(index, ev, "port " + std::to_string(ev.unit) +
+                                      " out of range");
+    if (!ports.idle_at(port, ev.t))
+      reject(index, ev, "port " + std::to_string(ev.unit) +
+                                      " is still busy");
+    ports.dispatch(port, ev.t, ev.duration);
+    return port;
   };
 
-  for (const TraceEvent& ev : trace.events) {
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const TraceEvent& ev = trace.events[i];
     switch (ev.kind) {
-      case TraceEvent::Kind::arrival:
-        ++total_jobs;
-        slot_at(arrival_of, ev.job, k_no_time) = ev.t;
-        slot_at(deadline_of, ev.job, k_no_time) = ev.deadline;
-        slot_at(crit_of, ev.job, std::int32_t{0}) =
-            static_cast<std::int32_t>(ev.aux);
-        slot_at(prep_of, ev.job, std::int32_t{-1}) = ev.prep;
-        break;
-      case TraceEvent::Kind::admit: {
-        // OnlineSim::admit(): reuse + queueing accounting. cancelled_loads
-        // lands in build_plan, but integer sums are order-free.
-        report.sim.reused_subtasks += ev.loads;
-        report.sim.cancelled_loads += ev.aux;
-        const time_us arrival = slot_at(arrival_of, ev.job, k_no_time);
-        queue_sum += static_cast<double>(ev.t - arrival);
-        queue_max = std::max(queue_max, ev.t - arrival);
-        slot_at(admit_of, ev.job, k_no_time) = ev.t;
+      case TraceEvent::Kind::arrival: {
+        ReplayJob& job = job_of(ev, i, false);
+        if (ev.prep < 0 ||
+            static_cast<std::size_t>(ev.prep) >= header.preps.size())
+          reject(i, ev, "preparation " + std::to_string(ev.prep) +
+                                      " missing from the header");
+        job = {ev.t, k_no_time, ev.deadline, ev.prep,
+               static_cast<std::int32_t>(ev.aux)};
+        acc.on_arrival(ev.t, ev.job, ev.prep, ev.deadline, job.crit);
         break;
       }
+      case TraceEvent::Kind::admit: {
+        ReplayJob& job = job_of(ev, i, true);
+        job.admit = ev.t;
+        acc.on_admit(ev.t, ev.job, job.arrival, ev.loads, ev.aux,
+                     static_cast<std::size_t>(ev.init), ev.tiles);
+        break;
+      }
+      case TraceEvent::Kind::retire: {
+        const ReplayJob& job = job_of(ev, i, true);
+        if (job.admit == k_no_time) reject(i, ev, "never admitted");
+        acc.on_retire(ev.t, ev.job, job.prep, job.arrival, job.admit,
+                      job.deadline, job.crit != 0, ev.loads,
+                      static_cast<std::size_t>(ev.init));
+        break;
+      }
+      case TraceEvent::Kind::preempt:
+        acc.on_preempt(ev.t, ev.job, job_of(ev, i, true).arrival, ev.loads,
+                       static_cast<std::size_t>(ev.init));
+        break;
       case TraceEvent::Kind::load_start:
-        // start_job_load(): the load count lands at retire (slot.loads);
-        // here only the port dispatch is mirrored.
-        dispatch_port(ev);
+        dispatch(ev, i);  // the load itself counts at retire/preempt
         break;
-      case TraceEvent::Kind::prefetch_start:
-        // start_backlog_prefetch().
-        dispatch_port(ev);
-        ++report.sim.intertask_prefetches;
-        ++report.sim.loads;
-        report.sim.energy += reconfig_energy;
+      case TraceEvent::Kind::prefetch_start: {
+        const std::size_t port = dispatch(ev, i);
+        acc.on_prefetch_start(ev.t, ev.job, static_cast<ConfigId>(ev.config),
+                              port, ev.duration, ev.src);
         break;
-      case TraceEvent::Kind::migration_start:
-        // start_defrag(), port-migration branch.
-        dispatch_port(ev);
-        ++report.sim.loads;
-        report.sim.energy += reconfig_energy;
-        ++migrations_in_flight;
-        peak_migrations = std::max(peak_migrations, migrations_in_flight);
+      }
+      case TraceEvent::Kind::migration_start: {
+        const std::size_t port = dispatch(ev, i);
+        acc.on_migration_start(ev.t, port, ev.duration, ev.src, ev.dst,
+                               ev.job);
         break;
+      }
       case TraceEvent::Kind::migration_done:
-        // TilePoolManager::finish_migration().
-        --migrations_in_flight;
-        ++report.defrag_moves;
+        acc.on_migration_done(ev.t, ev.src, ev.dst, ev.aux != 0);
         break;
       case TraceEvent::Kind::remap:
-        // TilePoolManager::apply_remap().
-        ++report.defrag_moves;
+        acc.on_remap(ev.t, ev.src, ev.dst, ev.job);
         break;
-      case TraceEvent::Kind::checkpoint_start:
-        // start_checkpoint().
-        dispatch_port(ev);
-        ++report.sim.loads;
-        report.sim.energy += reconfig_energy;
-        break;
-      case TraceEvent::Kind::preempt: {
-        // finish_preempt(): the victim's work-so-far is written back.
-        report.sim.loads += ev.loads;
-        report.sim.init_loads += static_cast<long>(ev.init);
-        report.sim.energy += reconfig_energy * static_cast<double>(ev.loads);
-        report.sim.energy_saved -=
-            reconfig_energy * static_cast<double>(ev.loads);
-        const time_us arrival = slot_at(arrival_of, ev.job, k_no_time);
-        queue_sum -= static_cast<double>(ev.t - arrival);
-        ++report.preemptions;
+      case TraceEvent::Kind::checkpoint_start: {
+        const std::size_t port = dispatch(ev, i);
+        acc.on_checkpoint_start(ev.t, port, ev.duration, ev.job);
         break;
       }
       case TraceEvent::Kind::exec_start:
-        if (ev.aux != 0) isp_busy += ev.duration;
+        acc.on_exec_start(ev.t, ev.job, ev.subtask, ev.duration, ev.unit,
+                          ev.aux != 0);
         break;
       case TraceEvent::Kind::queue_skip:
-        ++report.queue_skips;
+        acc.on_queue_skip(ev.t);
         break;
       case TraceEvent::Kind::frag:
-        // TilePoolManager::touch(): `value` held over (frag_last, t].
-        frag_integral += ev.value * static_cast<double>(ev.t - frag_last);
-        frag_last = ev.t;
+        acc.on_frag_sample(ev.t, ev.value);
         break;
       case TraceEvent::Kind::run_end:
-        final_frag = ev.value;
+        acc.on_run_end(ev.value);
         break;
-      case TraceEvent::Kind::retire: {
-        // OnlineSim::retire(), identical expression grouping.
-        const auto prep_index =
-            static_cast<std::size_t>(slot_at(prep_of, ev.job, std::int32_t{-1}));
-        if (prep_index >= header.preps.size())
-          throw std::invalid_argument(
-              "trace replay: retire references preparation " +
-              std::to_string(prep_index) + " missing from the header");
-        const TracePrep& prep = header.preps[prep_index];
-        const time_us admit = slot_at(admit_of, ev.job, k_no_time);
-        const time_us span = ev.t - admit;
-        if (header.record_spans)
-          slot_at(report.spans, ev.job, time_us{0}) = span;
-        report.sim.total_ideal += prep.ideal;
-        report.sim.total_actual += span;
-        ++report.sim.instances;
-        const long drhw = prep.drhw_subtasks;
-        report.sim.drhw_subtask_instances += drhw;
-        report.sim.loads += ev.loads;
-        report.sim.init_loads += static_cast<long>(ev.init);
-        report.sim.energy +=
-            prep.exec_energy +
-            reconfig_energy * static_cast<double>(ev.loads);
-        report.sim.energy_saved +=
-            reconfig_energy * static_cast<double>(drhw - ev.loads);
-        const time_us arrival = slot_at(arrival_of, ev.job, k_no_time);
-        response_sum += static_cast<double>(ev.t - arrival);
-        response_max = std::max(response_max, ev.t - arrival);
-        response_sketch.add(to_ms(ev.t - arrival));
-        horizon = std::max(horizon, ev.t);
-        if (rt) {
-          const time_us deadline = slot_at(deadline_of, ev.job, k_no_time);
-          const time_us lateness = ev.t - deadline;
-          ++report.deadline_jobs;
-          lateness_sum += static_cast<double>(lateness);
-          if (lateness > 0) {
-            ++report.deadline_misses;
-            max_tardiness = std::max(max_tardiness, lateness);
-          }
-          if (slot_at(crit_of, ev.job, std::int32_t{0}) != 0) {
-            ++report.high_crit_jobs;
-            if (lateness > 0) ++report.high_crit_misses;
-          }
-        }
-        break;
-      }
-      // Completion / bookkeeping events carry no report state; they exist
-      // for rendering and cross-checking.
+      // Folded nowhere, or derived by the accumulator itself
+      // (deadline_miss): these exist for rendering.
       case TraceEvent::Kind::sched_done:
       case TraceEvent::Kind::load_done:
       case TraceEvent::Kind::prefetch_done:
@@ -212,202 +161,14 @@ OnlineReport replay_trace(const TraceData& trace) {
         break;
     }
   }
-
-  // --- OnlineSim::finalize(), mirrored ------------------------------------
-  if (report.sim.total_ideal > 0)
-    report.sim.overhead_pct =
-        100.0 *
-        static_cast<double>(report.sim.total_actual -
-                            report.sim.total_ideal) /
-        static_cast<double>(report.sim.total_ideal);
-  if (report.sim.drhw_subtask_instances > 0)
-    report.sim.reuse_pct =
-        100.0 * static_cast<double>(report.sim.reused_subtasks) /
-        static_cast<double>(report.sim.drhw_subtask_instances);
-  report.horizon = horizon;
-  const auto n = static_cast<double>(total_jobs);
-  if (total_jobs > 0) {
-    report.mean_response_ms = response_sum / n / 1000.0;
-    report.mean_queueing_ms = queue_sum / n / 1000.0;
-  }
-  report.max_response_ms = to_ms(response_max);
-  report.max_queueing_ms = to_ms(queue_max);
-  report.response_p50_ms = response_sketch.p50();
-  report.response_p95_ms = response_sketch.p95();
-  report.response_p99_ms = response_sketch.p99();
-  {
-    // TilePoolManager::mean_fragmentation_pct(horizon): the tail after the
-    // last occupancy change holds the final fragmentation value.
-    const time_us end = std::max(horizon, frag_last);
-    if (end > 0) {
-      double integral = frag_integral;
-      if (end > frag_last)
-        integral += final_frag * static_cast<double>(end - frag_last);
-      report.mean_frag_pct = integral / static_cast<double>(end);
-    }
-  }
-  if (report.deadline_jobs > 0) {
-    report.deadline_miss_pct =
-        100.0 * static_cast<double>(report.deadline_misses) /
-        static_cast<double>(report.deadline_jobs);
-    report.mean_lateness_ms =
-        lateness_sum / static_cast<double>(report.deadline_jobs) / 1000.0;
-  }
-  if (report.high_crit_jobs > 0)
-    report.high_crit_miss_pct =
-        100.0 * static_cast<double>(report.high_crit_misses) /
-        static_cast<double>(report.high_crit_jobs);
-  report.max_tardiness_ms = to_ms(max_tardiness);
-  report.peak_concurrent_migrations = peak_migrations;
-  time_us latest_free = 0;
-  for (time_us f : port_free) latest_free = std::max(latest_free, f);
-  const time_us busy_horizon = std::max(horizon, latest_free);
-  report.port_utilisation_per_port_pct.assign(ports, 0.0);
-  if (busy_horizon > 0) {
-    report.port_utilisation_pct =
-        100.0 * static_cast<double>(total_busy) /
-        (static_cast<double>(busy_horizon) * static_cast<double>(ports));
-    for (std::size_t p = 0; p < ports; ++p)
-      report.port_utilisation_per_port_pct[p] =
-          100.0 * static_cast<double>(port_busy[p]) /
-          static_cast<double>(busy_horizon);
-    const int isps = std::max(header.isps, 1);
-    report.isp_utilisation_pct =
-        100.0 * static_cast<double>(isp_busy) /
-        (static_cast<double>(busy_horizon) * static_cast<double>(isps));
-  }
-  if (header.record_spans)
-    report.spans.resize(static_cast<std::size_t>(total_jobs), 0);
-  return report;
+  return acc.finalize(ports);
 }
-
-namespace {
-
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void check_long(std::vector<std::string>& out, const char* field, long live,
-                long replay) {
-  if (live == replay) return;
-  std::ostringstream msg;
-  msg << field << ": live=" << live << " replay=" << replay;
-  out.push_back(msg.str());
-}
-
-void check_time(std::vector<std::string>& out, const char* field,
-                time_us live, time_us replay) {
-  check_long(out, field, static_cast<long>(live), static_cast<long>(replay));
-}
-
-void check_double(std::vector<std::string>& out, const char* field,
-                  double live, double replay) {
-  if (bits_equal(live, replay)) return;
-  std::ostringstream msg;
-  msg.precision(17);
-  msg << field << ": live=" << live << " replay=" << replay
-      << " (bitwise compare)";
-  out.push_back(msg.str());
-}
-
-}  // namespace
 
 std::vector<std::string> verify_trace(const TraceData& trace) {
   if (!trace.has_live)
     throw std::invalid_argument(
         "trace verify: no recorded report (truncated trace?)");
-  const OnlineReport replay = replay_trace(trace);
-  const OnlineReport& live = trace.live;
-  std::vector<std::string> out;
-
-  check_time(out, "sim.total_ideal", live.sim.total_ideal,
-             replay.sim.total_ideal);
-  check_time(out, "sim.total_actual", live.sim.total_actual,
-             replay.sim.total_actual);
-  check_double(out, "sim.overhead_pct", live.sim.overhead_pct,
-               replay.sim.overhead_pct);
-  check_long(out, "sim.instances", live.sim.instances, replay.sim.instances);
-  check_long(out, "sim.drhw_subtask_instances",
-             live.sim.drhw_subtask_instances,
-             replay.sim.drhw_subtask_instances);
-  check_long(out, "sim.reused_subtasks", live.sim.reused_subtasks,
-             replay.sim.reused_subtasks);
-  check_double(out, "sim.reuse_pct", live.sim.reuse_pct,
-               replay.sim.reuse_pct);
-  check_long(out, "sim.loads", live.sim.loads, replay.sim.loads);
-  check_long(out, "sim.init_loads", live.sim.init_loads,
-             replay.sim.init_loads);
-  check_long(out, "sim.cancelled_loads", live.sim.cancelled_loads,
-             replay.sim.cancelled_loads);
-  check_long(out, "sim.intertask_prefetches", live.sim.intertask_prefetches,
-             replay.sim.intertask_prefetches);
-  check_double(out, "sim.energy", live.sim.energy, replay.sim.energy);
-  check_double(out, "sim.energy_saved", live.sim.energy_saved,
-               replay.sim.energy_saved);
-  check_time(out, "horizon", live.horizon, replay.horizon);
-  check_double(out, "mean_response_ms", live.mean_response_ms,
-               replay.mean_response_ms);
-  check_double(out, "max_response_ms", live.max_response_ms,
-               replay.max_response_ms);
-  check_double(out, "mean_queueing_ms", live.mean_queueing_ms,
-               replay.mean_queueing_ms);
-  check_double(out, "max_queueing_ms", live.max_queueing_ms,
-               replay.max_queueing_ms);
-  check_double(out, "port_utilisation_pct", live.port_utilisation_pct,
-               replay.port_utilisation_pct);
-  check_long(out, "port_utilisation_per_port_pct.size",
-             static_cast<long>(live.port_utilisation_per_port_pct.size()),
-             static_cast<long>(replay.port_utilisation_per_port_pct.size()));
-  if (live.port_utilisation_per_port_pct.size() ==
-      replay.port_utilisation_per_port_pct.size())
-    for (std::size_t p = 0; p < live.port_utilisation_per_port_pct.size();
-         ++p) {
-      const std::string field =
-          "port_utilisation_per_port_pct[" + std::to_string(p) + "]";
-      check_double(out, field.c_str(),
-                   live.port_utilisation_per_port_pct[p],
-                   replay.port_utilisation_per_port_pct[p]);
-    }
-  check_double(out, "isp_utilisation_pct", live.isp_utilisation_pct,
-               replay.isp_utilisation_pct);
-  check_long(out, "peak_concurrent_migrations",
-             live.peak_concurrent_migrations,
-             replay.peak_concurrent_migrations);
-  check_double(out, "response_p50_ms", live.response_p50_ms,
-               replay.response_p50_ms);
-  check_double(out, "response_p95_ms", live.response_p95_ms,
-               replay.response_p95_ms);
-  check_double(out, "response_p99_ms", live.response_p99_ms,
-               replay.response_p99_ms);
-  check_double(out, "mean_frag_pct", live.mean_frag_pct,
-               replay.mean_frag_pct);
-  check_long(out, "queue_skips", live.queue_skips, replay.queue_skips);
-  check_long(out, "defrag_moves", live.defrag_moves, replay.defrag_moves);
-  check_long(out, "deadline_jobs", live.deadline_jobs, replay.deadline_jobs);
-  check_long(out, "deadline_misses", live.deadline_misses,
-             replay.deadline_misses);
-  check_long(out, "high_crit_jobs", live.high_crit_jobs,
-             replay.high_crit_jobs);
-  check_long(out, "high_crit_misses", live.high_crit_misses,
-             replay.high_crit_misses);
-  check_double(out, "deadline_miss_pct", live.deadline_miss_pct,
-               replay.deadline_miss_pct);
-  check_double(out, "high_crit_miss_pct", live.high_crit_miss_pct,
-               replay.high_crit_miss_pct);
-  check_double(out, "mean_lateness_ms", live.mean_lateness_ms,
-               replay.mean_lateness_ms);
-  check_double(out, "max_tardiness_ms", live.max_tardiness_ms,
-               replay.max_tardiness_ms);
-  check_long(out, "preemptions", live.preemptions, replay.preemptions);
-  check_long(out, "spans.size", static_cast<long>(live.spans.size()),
-             static_cast<long>(replay.spans.size()));
-  if (live.spans.size() == replay.spans.size())
-    for (std::size_t i = 0; i < live.spans.size(); ++i)
-      if (live.spans[i] != replay.spans[i]) {
-        const std::string field = "spans[" + std::to_string(i) + "]";
-        check_time(out, field.c_str(), live.spans[i], replay.spans[i]);
-      }
-  return out;
+  return trace_detail::report_mismatches(trace.live, replay_trace(trace));
 }
 
 }  // namespace drhw

@@ -1,13 +1,18 @@
 /// \file report_json.cpp
-/// OnlineReport <-> JSON, used for the trace footer. Every field except
-/// `perf` (wall-clock phase timers — not simulation state) round-trips;
-/// doubles go through the shortest-exact formatter, so a written report
-/// parses back bit-identical and verify_trace() can compare bitwise.
+/// The one field list of OnlineReport and the three things it drives: the
+/// JSON writer and reader of the trace footer, and the field-by-field
+/// comparison behind verify_trace(). Every field except `perf` (wall-clock
+/// phase timers — not simulation state) is listed once; the walkers below
+/// dispatch on the member's type. Doubles go through the shortest-exact
+/// formatter, so a written report parses back bit-identical and the
+/// comparison can be bitwise.
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
-#include "trace/trace.hpp"
+#include "trace/trace_detail.hpp"
 #include "util/json.hpp"
 #include "util/numfmt.hpp"
 
@@ -15,77 +20,130 @@ namespace drhw {
 
 namespace {
 
-void append_time_array(std::ostringstream& out, const char* key,
-                       const std::vector<time_us>& values) {
-  out << ",\"" << key << "\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out << ',';
-    out << values[i];
-  }
-  out << ']';
+/// SimReport's fields in serialisation order (the footer's "sim" object).
+template <typename Visit>
+void visit_sim_fields(Visit&& visit) {
+  visit("total_ideal", &SimReport::total_ideal);
+  visit("total_actual", &SimReport::total_actual);
+  visit("overhead_pct", &SimReport::overhead_pct);
+  visit("instances", &SimReport::instances);
+  visit("drhw_subtask_instances", &SimReport::drhw_subtask_instances);
+  visit("reused_subtasks", &SimReport::reused_subtasks);
+  visit("reuse_pct", &SimReport::reuse_pct);
+  visit("loads", &SimReport::loads);
+  visit("init_loads", &SimReport::init_loads);
+  visit("cancelled_loads", &SimReport::cancelled_loads);
+  visit("intertask_prefetches", &SimReport::intertask_prefetches);
+  visit("energy", &SimReport::energy);
+  visit("energy_saved", &SimReport::energy_saved);
+  visit("spans", &SimReport::spans);
 }
 
-double num_or(const json::Value& obj, const char* key, double fallback) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->kind == json::Value::Kind::number ? v->number
-                                                              : fallback;
+/// OnlineReport's own fields, after "sim", in serialisation order.
+template <typename Visit>
+void visit_online_fields(Visit&& visit) {
+  visit("horizon", &OnlineReport::horizon);
+  visit("mean_response_ms", &OnlineReport::mean_response_ms);
+  visit("max_response_ms", &OnlineReport::max_response_ms);
+  visit("mean_queueing_ms", &OnlineReport::mean_queueing_ms);
+  visit("max_queueing_ms", &OnlineReport::max_queueing_ms);
+  visit("port_utilisation_pct", &OnlineReport::port_utilisation_pct);
+  visit("port_utilisation_per_port_pct",
+        &OnlineReport::port_utilisation_per_port_pct);
+  visit("isp_utilisation_pct", &OnlineReport::isp_utilisation_pct);
+  visit("peak_concurrent_migrations",
+        &OnlineReport::peak_concurrent_migrations);
+  visit("response_p50_ms", &OnlineReport::response_p50_ms);
+  visit("response_p95_ms", &OnlineReport::response_p95_ms);
+  visit("response_p99_ms", &OnlineReport::response_p99_ms);
+  visit("mean_frag_pct", &OnlineReport::mean_frag_pct);
+  visit("queue_skips", &OnlineReport::queue_skips);
+  visit("defrag_moves", &OnlineReport::defrag_moves);
+  visit("deadline_jobs", &OnlineReport::deadline_jobs);
+  visit("deadline_misses", &OnlineReport::deadline_misses);
+  visit("high_crit_jobs", &OnlineReport::high_crit_jobs);
+  visit("high_crit_misses", &OnlineReport::high_crit_misses);
+  visit("deadline_miss_pct", &OnlineReport::deadline_miss_pct);
+  visit("high_crit_miss_pct", &OnlineReport::high_crit_miss_pct);
+  visit("mean_lateness_ms", &OnlineReport::mean_lateness_ms);
+  visit("max_tardiness_ms", &OnlineReport::max_tardiness_ms);
+  visit("preemptions", &OnlineReport::preemptions);
+  visit("spans", &OnlineReport::spans);
+}
+
+template <typename T>
+void write_value(std::ostringstream& out, const T& value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    out << fmt_json_double(value);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    out << value;
+  } else {
+    out << '[';
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out << ',';
+      write_value(out, value[i]);
+    }
+    out << ']';
+  }
+}
+
+template <typename T>
+void read_value(const json::Value& value, T& out) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    if (value.kind == json::Value::Kind::number)
+      out = static_cast<T>(value.number);
+  } else {
+    for (const json::Value& item : value.items)
+      out.push_back(static_cast<typename T::value_type>(item.number));
+  }
+}
+
+/// Doubles compare bitwise: replay must reproduce the exact bits.
+template <typename T>
+bool same(const T& a, const T& b) {
+  if constexpr (std::is_floating_point_v<T>)
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+  else
+    return a == b;
+}
+
+/// Appends one line per mismatch; vectors compare size, then elements.
+template <typename T>
+void compare(std::vector<std::string>& out, const std::string& field,
+             const T& live, const T& replay) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    if (same(live, replay)) return;
+    std::ostringstream msg;
+    msg.precision(17);
+    msg << field << ": live=" << live << " replay=" << replay;
+    if constexpr (std::is_floating_point_v<T>) msg << " (bitwise compare)";
+    out.push_back(msg.str());
+  } else {
+    compare(out, field + ".size", live.size(), replay.size());
+    if (live.size() != replay.size()) return;
+    for (std::size_t i = 0; i < live.size(); ++i)
+      if (!same(live[i], replay[i]))
+        compare(out, field + "[" + std::to_string(i) + "]", live[i],
+                replay[i]);
+  }
 }
 
 }  // namespace
 
 std::string online_report_to_json(const OnlineReport& report) {
   std::ostringstream out;
-  const SimReport& sim = report.sim;
-  out << "{\"sim\":{"
-      << "\"total_ideal\":" << sim.total_ideal
-      << ",\"total_actual\":" << sim.total_actual
-      << ",\"overhead_pct\":" << fmt_json_double(sim.overhead_pct)
-      << ",\"instances\":" << sim.instances
-      << ",\"drhw_subtask_instances\":" << sim.drhw_subtask_instances
-      << ",\"reused_subtasks\":" << sim.reused_subtasks
-      << ",\"reuse_pct\":" << fmt_json_double(sim.reuse_pct)
-      << ",\"loads\":" << sim.loads
-      << ",\"init_loads\":" << sim.init_loads
-      << ",\"cancelled_loads\":" << sim.cancelled_loads
-      << ",\"intertask_prefetches\":" << sim.intertask_prefetches
-      << ",\"energy\":" << fmt_json_double(sim.energy)
-      << ",\"energy_saved\":" << fmt_json_double(sim.energy_saved);
-  append_time_array(out, "spans", sim.spans);
-  out << '}'
-      << ",\"horizon\":" << report.horizon
-      << ",\"mean_response_ms\":" << fmt_json_double(report.mean_response_ms)
-      << ",\"max_response_ms\":" << fmt_json_double(report.max_response_ms)
-      << ",\"mean_queueing_ms\":" << fmt_json_double(report.mean_queueing_ms)
-      << ",\"max_queueing_ms\":" << fmt_json_double(report.max_queueing_ms)
-      << ",\"port_utilisation_pct\":"
-      << fmt_json_double(report.port_utilisation_pct)
-      << ",\"port_utilisation_per_port_pct\":[";
-  for (std::size_t i = 0; i < report.port_utilisation_per_port_pct.size();
-       ++i) {
-    if (i > 0) out << ',';
-    out << fmt_json_double(report.port_utilisation_per_port_pct[i]);
-  }
-  out << ']'
-      << ",\"isp_utilisation_pct\":"
-      << fmt_json_double(report.isp_utilisation_pct)
-      << ",\"peak_concurrent_migrations\":" << report.peak_concurrent_migrations
-      << ",\"response_p50_ms\":" << fmt_json_double(report.response_p50_ms)
-      << ",\"response_p95_ms\":" << fmt_json_double(report.response_p95_ms)
-      << ",\"response_p99_ms\":" << fmt_json_double(report.response_p99_ms)
-      << ",\"mean_frag_pct\":" << fmt_json_double(report.mean_frag_pct)
-      << ",\"queue_skips\":" << report.queue_skips
-      << ",\"defrag_moves\":" << report.defrag_moves
-      << ",\"deadline_jobs\":" << report.deadline_jobs
-      << ",\"deadline_misses\":" << report.deadline_misses
-      << ",\"high_crit_jobs\":" << report.high_crit_jobs
-      << ",\"high_crit_misses\":" << report.high_crit_misses
-      << ",\"deadline_miss_pct\":" << fmt_json_double(report.deadline_miss_pct)
-      << ",\"high_crit_miss_pct\":"
-      << fmt_json_double(report.high_crit_miss_pct)
-      << ",\"mean_lateness_ms\":" << fmt_json_double(report.mean_lateness_ms)
-      << ",\"max_tardiness_ms\":" << fmt_json_double(report.max_tardiness_ms)
-      << ",\"preemptions\":" << report.preemptions;
-  append_time_array(out, "spans", report.spans);
+  const char* separator = "";
+  const auto writer = [&](const auto& object) {
+    return [&out, &separator, &object](const char* key, auto member) {
+      out << separator << '"' << key << "\":";
+      separator = ",";
+      write_value(out, object.*member);
+    };
+  };
+  out << "{\"sim\":{";
+  visit_sim_fields(writer(report.sim));
+  out << '}';
+  visit_online_fields(writer(report));
   out << '}';
   return out.str();
 }
@@ -95,64 +153,33 @@ OnlineReport online_report_from_json(const std::string& text) {
   if (root.kind != json::Value::Kind::object)
     throw std::invalid_argument("trace report: expected a JSON object");
   OnlineReport report;
-  if (const json::Value* sim = root.find("sim")) {
-    SimReport& s = report.sim;
-    s.total_ideal = static_cast<time_us>(num_or(*sim, "total_ideal", 0.0));
-    s.total_actual = static_cast<time_us>(num_or(*sim, "total_actual", 0.0));
-    s.overhead_pct = num_or(*sim, "overhead_pct", 0.0);
-    s.instances = static_cast<long>(num_or(*sim, "instances", 0.0));
-    s.drhw_subtask_instances =
-        static_cast<long>(num_or(*sim, "drhw_subtask_instances", 0.0));
-    s.reused_subtasks =
-        static_cast<long>(num_or(*sim, "reused_subtasks", 0.0));
-    s.reuse_pct = num_or(*sim, "reuse_pct", 0.0);
-    s.loads = static_cast<long>(num_or(*sim, "loads", 0.0));
-    s.init_loads = static_cast<long>(num_or(*sim, "init_loads", 0.0));
-    s.cancelled_loads =
-        static_cast<long>(num_or(*sim, "cancelled_loads", 0.0));
-    s.intertask_prefetches =
-        static_cast<long>(num_or(*sim, "intertask_prefetches", 0.0));
-    s.energy = num_or(*sim, "energy", 0.0);
-    s.energy_saved = num_or(*sim, "energy_saved", 0.0);
-    if (const json::Value* spans = sim->find("spans"))
-      for (const json::Value& v : spans->items)
-        s.spans.push_back(static_cast<time_us>(v.number));
-  }
-  report.horizon = static_cast<time_us>(num_or(root, "horizon", 0.0));
-  report.mean_response_ms = num_or(root, "mean_response_ms", 0.0);
-  report.max_response_ms = num_or(root, "max_response_ms", 0.0);
-  report.mean_queueing_ms = num_or(root, "mean_queueing_ms", 0.0);
-  report.max_queueing_ms = num_or(root, "max_queueing_ms", 0.0);
-  report.port_utilisation_pct = num_or(root, "port_utilisation_pct", 0.0);
-  if (const json::Value* per = root.find("port_utilisation_per_port_pct"))
-    for (const json::Value& v : per->items)
-      report.port_utilisation_per_port_pct.push_back(v.number);
-  report.isp_utilisation_pct = num_or(root, "isp_utilisation_pct", 0.0);
-  report.peak_concurrent_migrations =
-      static_cast<long>(num_or(root, "peak_concurrent_migrations", 0.0));
-  report.response_p50_ms = num_or(root, "response_p50_ms", 0.0);
-  report.response_p95_ms = num_or(root, "response_p95_ms", 0.0);
-  report.response_p99_ms = num_or(root, "response_p99_ms", 0.0);
-  report.mean_frag_pct = num_or(root, "mean_frag_pct", 0.0);
-  report.queue_skips = static_cast<long>(num_or(root, "queue_skips", 0.0));
-  report.defrag_moves = static_cast<long>(num_or(root, "defrag_moves", 0.0));
-  report.deadline_jobs =
-      static_cast<long>(num_or(root, "deadline_jobs", 0.0));
-  report.deadline_misses =
-      static_cast<long>(num_or(root, "deadline_misses", 0.0));
-  report.high_crit_jobs =
-      static_cast<long>(num_or(root, "high_crit_jobs", 0.0));
-  report.high_crit_misses =
-      static_cast<long>(num_or(root, "high_crit_misses", 0.0));
-  report.deadline_miss_pct = num_or(root, "deadline_miss_pct", 0.0);
-  report.high_crit_miss_pct = num_or(root, "high_crit_miss_pct", 0.0);
-  report.mean_lateness_ms = num_or(root, "mean_lateness_ms", 0.0);
-  report.max_tardiness_ms = num_or(root, "max_tardiness_ms", 0.0);
-  report.preemptions = static_cast<long>(num_or(root, "preemptions", 0.0));
-  if (const json::Value* spans = root.find("spans"))
-    for (const json::Value& v : spans->items)
-      report.spans.push_back(static_cast<time_us>(v.number));
+  const auto reader = [](const json::Value& from, auto& object) {
+    return [&from, &object](const char* key, auto member) {
+      if (const json::Value* value = from.find(key))
+        read_value(*value, object.*member);
+    };
+  };
+  if (const json::Value* sim = root.find("sim"))
+    visit_sim_fields(reader(*sim, report.sim));
+  visit_online_fields(reader(root, report));
   return report;
 }
 
+namespace trace_detail {
+
+std::vector<std::string> report_mismatches(const OnlineReport& live,
+                                           const OnlineReport& replay) {
+  std::vector<std::string> out;
+  const auto comparer = [&out](const char* prefix, const auto& a,
+                               const auto& b) {
+    return [&out, prefix, &a, &b](const char* key, auto member) {
+      compare(out, prefix + std::string(key), a.*member, b.*member);
+    };
+  };
+  visit_sim_fields(comparer("sim.", live.sim, replay.sim));
+  visit_online_fields(comparer("", live, replay));
+  return out;
+}
+
+}  // namespace trace_detail
 }  // namespace drhw

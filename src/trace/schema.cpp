@@ -5,6 +5,7 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "trace/trace_detail.hpp"
 #include "util/json.hpp"
@@ -151,21 +152,18 @@ TraceHeader header_from_json(const std::string& text) {
 }
 
 std::string event_to_json(const TraceEvent& ev) {
+  static const TraceEvent defaults;
   std::ostringstream out;
   out << "{\"ev\":\"" << to_string(ev.kind) << "\",\"t\":" << ev.t;
-  if (ev.job != -1) out << ",\"job\":" << ev.job;
-  if (ev.subtask != -1) out << ",\"sub\":" << ev.subtask;
-  if (ev.prep != -1) out << ",\"prep\":" << ev.prep;
-  if (ev.config != -1) out << ",\"cfg\":" << ev.config;
-  if (ev.unit != -1) out << ",\"unit\":" << ev.unit;
-  if (ev.duration != 0) out << ",\"dur\":" << ev.duration;
-  if (ev.src != -1) out << ",\"src\":" << ev.src;
-  if (ev.dst != -1) out << ",\"dst\":" << ev.dst;
-  if (ev.loads != 0) out << ",\"loads\":" << ev.loads;
-  if (ev.aux != 0) out << ",\"aux\":" << ev.aux;
-  if (ev.init != 0) out << ",\"init\":" << ev.init;
-  if (ev.deadline != k_no_time) out << ",\"dl\":" << ev.deadline;
-  if (ev.value != 0.0) out << ",\"val\":" << fmt_json_double(ev.value);
+  visit_event_fields([&](const char* key, auto member) {
+    const auto& value = ev.*member;
+    if (value == defaults.*member) return;
+    out << ",\"" << key << "\":";
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(value)>>)
+      out << fmt_json_double(value);
+    else
+      out << value;
+  });
   if (!ev.tiles.empty()) {
     out << ",\"tiles\":[";
     for (std::size_t i = 0; i < ev.tiles.size(); ++i) {
@@ -179,24 +177,13 @@ std::string event_to_json(const TraceEvent& ev) {
 }
 
 std::string event_to_binary(const TraceEvent& ev) {
-  std::string payload;
-  payload.reserve(88 + 2 + 4 * ev.tiles.size());
-  put_i64(payload, ev.t);
-  put_i32(payload, ev.job);
-  put_i32(payload, ev.subtask);
-  put_i32(payload, ev.prep);
-  put_i64(payload, ev.config);
-  put_i32(payload, ev.unit);
-  put_i64(payload, ev.duration);
-  put_i32(payload, ev.src);
-  put_i32(payload, ev.dst);
-  put_i64(payload, ev.loads);
-  put_i64(payload, ev.aux);
-  put_i64(payload, ev.init);
-  put_i64(payload, ev.deadline);
-  put_f64(payload, ev.value);
-  put_u16(payload, static_cast<std::uint16_t>(ev.tiles.size()));
-  for (PhysTileId tile : ev.tiles) put_i32(payload, tile);
+  std::string payload(k_fixed_payload + 2 + 4 * ev.tiles.size(), '\0');
+  auto* at = reinterpret_cast<unsigned char*>(&payload[0]);
+  at = put_field(at, ev.t);
+  visit_event_fields(
+      [&](const char*, auto member) { at = put_field(at, ev.*member); });
+  at = put_field(at, static_cast<std::uint16_t>(ev.tiles.size()));
+  for (const PhysTileId tile : ev.tiles) at = put_field(at, tile);
   return payload;
 }
 

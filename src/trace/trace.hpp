@@ -12,15 +12,16 @@
 /// runs. The reader sniffs the magic, so every consumer takes either.
 ///
 /// The subsystem's contract is *replay verification*: replay_trace()
-/// re-derives the entire OnlineReport from the event stream alone —
-/// repeating the identical integer and floating-point accumulations in the
-/// identical order the kernel performed them — and verify_trace() demands
-/// bit-identity against the recorded live report. A trace that verifies is
-/// a proof that the schema captures everything the report claims; a schema
-/// regression (dropped event, reordered emission, changed field) fails CI
-/// instead of silently rotting the observability layer. The one exclusion
-/// is OnlineReport::perf: wall-clock phase timers and queue-internal
-/// counters are not simulation state and are not serialised.
+/// re-derives the entire OnlineReport from the event stream alone by
+/// feeding the recorded inputs, in recorded order, to the kernel's own
+/// ReportAccumulator (sim/report_accumulator.hpp) — there is no second copy
+/// of the report arithmetic — and verify_trace() demands bit-identity
+/// against the recorded live report. A trace that verifies is a proof that
+/// the schema carries every input the report folds; a schema regression
+/// (dropped event, reordered emission, changed field) fails CI instead of
+/// silently rotting the observability layer. The one exclusion is
+/// OnlineReport::perf: wall-clock phase timers and queue-internal counters
+/// are not simulation state and are not serialised.
 ///
 /// Extension policy (mirrors the campaign report readers): adding event
 /// kinds or fields is backward-compatible — readers ignore unknown JSONL
@@ -199,13 +200,19 @@ class TraceRecorder final : public TraceSink {
 
 /// Reads a trace in either encoding (sniffs the binary magic). Throws
 /// std::invalid_argument on malformed input, std::runtime_error on I/O
-/// failure. A missing footer is not an error: has_live stays false.
+/// failure. A missing footer is not an error: has_live stays false. A
+/// record torn at the end of the file (the write stopped mid-record) is
+/// dropped and the prefix returned; a torn header still throws.
 TraceData read_trace(const std::string& path);
 
 /// Re-derives the OnlineReport from the event stream alone (the header
 /// contributes only run constants: platform shape, per-prep retire
 /// constants, the real-time flag). Bit-identical to the live report of the
-/// traced run; OnlineReport::perf stays default.
+/// traced run; OnlineReport::perf stays default. Throws
+/// std::invalid_argument, naming the event index, on an event the kernel
+/// cannot have emitted: a job id below 0 or not below the event count, an
+/// admit/retire/preempt with no earlier arrival, a retire with no admit, an
+/// unknown preparation, or a port out of range or still busy.
 OnlineReport replay_trace(const TraceData& trace);
 
 /// Replays and compares against the recorded live report, field by field,
@@ -215,7 +222,8 @@ OnlineReport replay_trace(const TraceData& trace);
 std::vector<std::string> verify_trace(const TraceData& trace);
 
 /// Serialises every OnlineReport field except `perf` as a JSON object
-/// (shortest-round-trip doubles, so parsing back is bit-exact).
+/// (shortest-round-trip doubles, so parsing back is bit-exact). The field
+/// list in report_json.cpp drives this, the reader and verify_trace().
 std::string online_report_to_json(const OnlineReport& report);
 OnlineReport online_report_from_json(const std::string& text);
 

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "trace/trace.hpp"
 
@@ -26,6 +28,30 @@ namespace drhw::trace_detail {
 
 inline constexpr char k_magic[8] = {'D', 'R', 'H', 'W', 'T', 'R', 'C', '1'};
 inline constexpr std::uint8_t k_footer_kind = 0xFF;
+/// Fixed part of a binary event payload, before the tile list.
+inline constexpr std::size_t k_fixed_payload = 88;
+
+/// TraceEvent's scalar fields after `t`, in encoding order, with their
+/// JSONL keys: the one list behind both encodings' writers and readers.
+/// Binary widths follow the member types (i32, i64, f64); JSONL omits a
+/// field at its default value. `kind` and `t` lead every record and
+/// `tiles` ends it, outside the list.
+template <typename Visit>
+void visit_event_fields(Visit&& visit) {
+  visit("job", &TraceEvent::job);
+  visit("sub", &TraceEvent::subtask);
+  visit("prep", &TraceEvent::prep);
+  visit("cfg", &TraceEvent::config);
+  visit("unit", &TraceEvent::unit);
+  visit("dur", &TraceEvent::duration);
+  visit("src", &TraceEvent::src);
+  visit("dst", &TraceEvent::dst);
+  visit("loads", &TraceEvent::loads);
+  visit("aux", &TraceEvent::aux);
+  visit("init", &TraceEvent::init);
+  visit("dl", &TraceEvent::deadline);
+  visit("val", &TraceEvent::value);
+}
 
 /// Reverse of to_string(TraceEvent::Kind). False on an unknown name —
 /// forward compatibility: JSONL readers drop such events.
@@ -44,25 +70,6 @@ inline void put_u32(std::string& out, std::uint32_t v) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
 }
 
-inline void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-inline void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-inline void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
 inline std::uint16_t get_u16(const unsigned char* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
@@ -73,25 +80,31 @@ inline std::uint32_t get_u32(const unsigned char* p) {
   return v;
 }
 
-inline std::int32_t get_i32(const unsigned char* p) {
-  return static_cast<std::int32_t>(get_u32(p));
+// One event field at its member type's width (u16, i32, i64 or f64),
+// written into or read from a payload buffer; both return the position
+// after the field.
+template <typename T>
+unsigned char* put_field(unsigned char* p, T v) {
+  std::uint64_t bits = 0;
+  if constexpr (std::is_floating_point_v<T>)
+    std::memcpy(&bits, &v, sizeof(T));
+  else
+    bits = static_cast<std::uint64_t>(v);
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<unsigned char>((bits >> (8 * i)) & 0xFF);
+  return p + sizeof(T);
 }
 
-inline std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-inline std::int64_t get_i64(const unsigned char* p) {
-  return static_cast<std::int64_t>(get_u64(p));
-}
-
-inline double get_f64(const unsigned char* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+template <typename T>
+const unsigned char* get_field(const unsigned char* p, T& v) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  if constexpr (std::is_floating_point_v<T>)
+    std::memcpy(&v, &bits, sizeof(T));
+  else
+    v = static_cast<T>(static_cast<std::make_unsigned_t<T>>(bits));
+  return p + sizeof(T);
 }
 
 /// Header JSON object — shared verbatim between the JSONL first line and
@@ -103,5 +116,11 @@ TraceHeader header_from_json(const std::string& text);
 std::string event_to_json(const TraceEvent& ev);
 /// Binary payload of one event (everything after the kind + length frame).
 std::string event_to_binary(const TraceEvent& ev);
+
+/// Field-by-field comparison of two reports over the OnlineReport field
+/// list (report_json.cpp), doubles bitwise. One line per mismatch, naming
+/// the field ("sim.loads", "spans[3]", "spans.size"); empty when equal.
+std::vector<std::string> report_mismatches(const OnlineReport& live,
+                                           const OnlineReport& replay);
 
 }  // namespace drhw::trace_detail

@@ -2,8 +2,9 @@
 // DRHW_SCHED_BIN by CMake): workload parse errors exit 2 with
 // file:line:column diagnostics, unknown flags exit 2 with usage + the
 // registered policy/arrival lists on every subcommand, `genwork` is
-// seed-deterministic, and the genwork -> campaign -> online --trace ->
-// trace verify pipeline the CI lane runs holds together.
+// seed-deterministic, the genwork -> campaign -> online --trace ->
+// trace verify pipeline the CI lane runs holds together, and damaged traces
+// end in a diagnostic, never a signal.
 
 #include <cstdio>
 #include <cstdlib>
@@ -129,6 +130,51 @@ TEST(Cli, GenworkCampaignTraceVerifyPipeline) {
   const CliResult info = run_cli("trace info " + trace_path);
   EXPECT_EQ(info.exit_code, 0) << info.output;
   EXPECT_NE(info.output.find("drhw-trace-v1"), std::string::npos);
+}
+
+TEST(Cli, TraceVerifyRejectsABadJobIdWithoutASignal) {
+  const std::string dir = temp_dir("cli_trace_bad_job");
+  const std::string path = dir + "/run.trace.jsonl";
+  ASSERT_EQ(run_cli("online --workload multimedia --approach hybrid"
+                    " --iterations 5 --trace " + path)
+                .exit_code,
+            0);
+  for (const char* job : {"-1", "2000000000"}) {
+    // Point the first admission at a job id no arrival ever named.
+    std::string text = read_file(path);
+    const std::size_t admit = text.find("{\"ev\":\"admit\"");
+    ASSERT_NE(admit, std::string::npos);
+    const std::size_t id = text.find("\"job\":", admit) + 6;
+    text.replace(id, text.find(',', id) - id, job);
+    const std::string bad = dir + "/bad.trace.jsonl";
+    std::ofstream(bad, std::ios::trunc) << text;
+
+    const CliResult result = run_cli("trace verify " + bad);
+    EXPECT_EQ(result.exit_code, 1) << job << "\n" << result.output;
+    EXPECT_NE(result.output.find("error: trace replay: event "),
+              std::string::npos)
+        << result.output;
+  }
+}
+
+TEST(Cli, TraceInfoReadsATornTrace) {
+  const std::string dir = temp_dir("cli_trace_torn");
+  for (const char* format : {"jsonl", "binary"}) {
+    const std::string path = dir + "/run.trace." + format;
+    ASSERT_EQ(run_cli("online --workload multimedia --approach hybrid"
+                      " --iterations 5 --trace-format " + std::string(format) +
+                      " --trace " + path)
+                  .exit_code,
+              0);
+    const std::string text = read_file(path);
+    const std::string torn = path + ".torn";
+    std::ofstream(torn, std::ios::binary | std::ios::trunc)
+        << text.substr(0, text.size() / 2);
+    const CliResult info = run_cli("trace info " + torn);
+    EXPECT_EQ(info.exit_code, 0) << format << "\n" << info.output;
+    EXPECT_NE(info.output.find("live report: absent"), std::string::npos)
+        << info.output;
+  }
 }
 
 TEST(Cli, TraceRecordingRequiresASingleApproach) {
