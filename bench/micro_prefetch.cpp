@@ -70,10 +70,20 @@ BENCHMARK(BM_OnDemand)->Arg(14)->Arg(112)->Arg(448);
 
 void BM_BranchAndBound(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        optimal_prefetch(f.graph, f.placement, f.platform, f.needs)
-            .eval.makespan);
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    const BnbResult r =
+        optimal_prefetch(f.graph, f.placement, f.platform, f.needs);
+    nodes = r.nodes_explored;
+    benchmark::DoNotOptimize(r.eval.makespan);
+  }
+  // Work next to time: the search is deterministic, so every iteration
+  // explores the same nodes; "per_node" is the time per explored node.
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["per_node"] = benchmark::Counter(
+      static_cast<double>(nodes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_BranchAndBound)->DenseRange(4, 9, 1);
 

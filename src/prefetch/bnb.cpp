@@ -4,205 +4,137 @@
 #include <limits>
 
 #include "graph/algorithms.hpp"
+#include "prefetch/prefix_bound.hpp"
 #include "util/check.hpp"
 
 namespace drhw {
 
 namespace {
 
-/// Reachability over the combined precedence relation: graph edges plus the
-/// per-unit execution chains. Entry [u][v] true iff u must finish before v
-/// can start.
-std::vector<std::vector<bool>> combined_reachability(
-    const SubtaskGraph& graph, const Placement& placement) {
-  const std::size_t n = graph.size();
-  std::vector<std::vector<SubtaskId>> succ(n);
-  for (std::size_t v = 0; v < n; ++v)
-    for (SubtaskId w : graph.successors(static_cast<SubtaskId>(v)))
-      succ[v].push_back(w);
-  auto add_chain = [&](const std::vector<std::vector<SubtaskId>>& seqs) {
-    for (const auto& seq : seqs)
-      for (std::size_t i = 1; i < seq.size(); ++i)
-        succ[static_cast<std::size_t>(seq[i - 1])].push_back(seq[i]);
-  };
-  add_chain(placement.tile_sequence);
-  add_chain(placement.isp_sequence);
-
-  // Topological order of the combined relation (acyclic per validate()).
-  std::vector<int> indeg(n, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    for (SubtaskId w : succ[v]) ++indeg[static_cast<std::size_t>(w)];
-  std::vector<SubtaskId> topo;
-  std::vector<SubtaskId> stack;
-  for (std::size_t v = 0; v < n; ++v)
-    if (indeg[v] == 0) stack.push_back(static_cast<SubtaskId>(v));
-  while (!stack.empty()) {
-    const SubtaskId v = stack.back();
-    stack.pop_back();
-    topo.push_back(v);
-    for (SubtaskId w : succ[static_cast<std::size_t>(v)])
-      if (--indeg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
-  }
-  DRHW_CHECK_MSG(topo.size() == n, "combined precedence has a cycle");
-
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const auto v = static_cast<std::size_t>(*it);
-    for (SubtaskId s : succ[v]) {
-      const auto sv = static_cast<std::size_t>(s);
-      reach[v][sv] = true;
-      for (std::size_t w = 0; w < n; ++w)
-        if (reach[sv][w]) reach[v][w] = true;
-    }
-  }
-  return reach;
-}
-
 struct SearchContext {
-  SearchContext(const SubtaskGraph& g, const Placement& p,
-                const PlatformConfig& pf)
-      : graph(g), placement(p), platform(pf) {}
+  SearchContext(const SubtaskGraph& graph, const Placement& placement,
+                const PlatformConfig& platform,
+                const CombinedPrecedence& precedence,
+                std::vector<SubtaskId> load_ids, time_us port_from)
+      : loads(std::move(load_ids)),
+        bound(graph, placement, platform, precedence, loads, port_from) {
+    const std::size_t count = loads.size();
+    const std::vector<time_us> weight = subtask_weights(graph);
+    auto weight_of = [&](int i) {
+      return weight[static_cast<std::size_t>(
+          loads[static_cast<std::size_t>(i)])];
+    };
+    for (int i = 0; i < static_cast<int>(count); ++i) by_weight.push_back(i);
+    std::sort(by_weight.begin(), by_weight.end(), [&](int a, int b) {
+      if (weight_of(a) != weight_of(b)) return weight_of(a) > weight_of(b);
+      return a < b;
+    });
 
-  const SubtaskGraph& graph;
-  const Placement& placement;
-  const PlatformConfig& platform;
-  time_us port_from = 0;
+    // Load i must come after load j when j's subtask must have *executed*
+    // before load i's tile becomes reconfigurable (i.e. j precedes, in the
+    // combined relation, the subtask scheduled immediately before i's).
+    followers.assign(count, {});
+    blockers.assign(count, 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const SubtaskId prev = placement.prev_on_unit(loads[i]);
+      if (prev == k_no_subtask) continue;
+      const auto& reach = precedence.reach;
+      for (std::size_t j = 0; j < count; ++j) {
+        const auto a = static_cast<std::size_t>(loads[j]);
+        if (i == j || (loads[j] != prev &&
+                       !reach[a][static_cast<std::size_t>(prev)]))
+          continue;
+        followers[j].push_back(static_cast<int>(i));
+        ++blockers[i];
+      }
+    }
+    chosen.assign(count, 0);
+    prefix.reserve(count);
+    best_order.reserve(count);
+  }
+
+  std::vector<SubtaskId> loads;  // all load ids, ascending
+  PrefixEvaluator bound;
   std::uint64_t node_limit = 0;
-  bool prune = true;
 
-  std::vector<SubtaskId> loads;              // all load ids
-  std::vector<std::vector<int>> must_precede;  // indices into loads
-  std::vector<time_us> weight;
+  /// Indices into `loads`, heaviest (most critical) first, lower id on
+  /// ties: the order candidates are tried in, so that the first solution
+  /// found is already strong, improving pruning.
+  std::vector<int> by_weight;
+  /// followers[j]: the loads that must come after load j.
+  std::vector<std::vector<int>> followers;
+  /// Per load: how many of the loads that must precede it are unchosen.
+  std::vector<int> blockers;
+  std::vector<char> chosen;
 
   std::vector<SubtaskId> prefix;
-  std::vector<char> chosen;
   time_us best_makespan = std::numeric_limits<time_us>::max();
   std::vector<SubtaskId> best_order;
   std::uint64_t nodes = 0;
   bool budget_exhausted = false;
 
-  /// Evaluates `prefix` as an explicit plan restricted to the prefix loads.
-  /// Because adding loads never shortens a schedule, this is an admissible
-  /// lower bound for every completion of the prefix.
-  time_us prefix_bound() const {
-    LoadPlan plan = explicit_plan(graph, prefix);
-    return evaluate(graph, placement, platform, plan, port_from).makespan;
+  bool available(int i) const {
+    return !chosen[static_cast<std::size_t>(i)] &&
+           blockers[static_cast<std::size_t>(i)] == 0;
   }
 
-  void dfs() {
+  void set_chosen(int i, bool on) {
+    chosen[static_cast<std::size_t>(i)] = on;
+    for (int f : followers[static_cast<std::size_t>(i)])
+      blockers[static_cast<std::size_t>(f)] += on ? -1 : 1;
+  }
+
+  /// `bound.makespan(depth)` is the makespan of `prefix` evaluated as an
+  /// explicit plan over the prefix loads only. Because adding loads never
+  /// shortens a schedule, it is an admissible lower bound for every
+  /// completion of the prefix. Nothing here allocates: `prefix` and
+  /// `best_order` are reserved, and the levels of `bound` preallocated.
+  void dfs(std::size_t depth) {
     ++nodes;
     if (node_limit != 0 && nodes > node_limit) {
       budget_exhausted = true;
       return;
     }
-    if (prefix.size() == loads.size()) {
-      const time_us makespan = prefix_bound();
+    if (depth == loads.size()) {
+      const time_us makespan = bound.makespan(depth);
       if (makespan < best_makespan) {
         best_makespan = makespan;
         best_order = prefix;
       }
       return;
     }
-    if (prune && !prefix.empty() && prefix_bound() >= best_makespan) return;
+    if (depth > 0 && bound.makespan(depth) >= best_makespan) return;
 
-    // Candidates: unchosen loads whose required predecessors are all chosen.
-    // Heavier (more critical) loads are tried first so that the first
-    // solution found is already strong, improving pruning.
-    std::vector<int> candidates;
-    for (int i = 0; i < static_cast<int>(loads.size()); ++i) {
-      if (chosen[static_cast<std::size_t>(i)]) continue;
-      bool ok = true;
-      for (int p : must_precede[static_cast<std::size_t>(i)])
-        if (!chosen[static_cast<std::size_t>(p)]) {
-          ok = false;
-          break;
-        }
-      if (ok) candidates.push_back(i);
-    }
-    std::sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-      const auto wa = weight[static_cast<std::size_t>(loads[static_cast<std::size_t>(a)])];
-      const auto wb = weight[static_cast<std::size_t>(loads[static_cast<std::size_t>(b)])];
-      if (wa != wb) return wa > wb;
-      return loads[static_cast<std::size_t>(a)] < loads[static_cast<std::size_t>(b)];
-    });
-    for (int i : candidates) {
-      chosen[static_cast<std::size_t>(i)] = 1;
-      prefix.push_back(loads[static_cast<std::size_t>(i)]);
-      dfs();
+    // Candidates: unchosen loads whose required predecessors are all
+    // chosen. Every child restores the state it changed, so the candidate
+    // set is the same at each step of this loop.
+    for (int i : by_weight) {
+      if (!available(i)) continue;
+      const SubtaskId s = loads[static_cast<std::size_t>(i)];
+      set_chosen(i, true);
+      prefix.push_back(s);
+      bound.push(depth, s);
+      dfs(depth + 1);
       prefix.pop_back();
-      chosen[static_cast<std::size_t>(i)] = 0;
+      set_chosen(i, false);
       if (budget_exhausted) return;
     }
   }
+
+  /// Greedy linear extension (take the heaviest available load each step);
+  /// always feasible.
+  std::vector<SubtaskId> greedy_order() {
+    std::vector<SubtaskId> order;
+    while (order.size() < loads.size()) {
+      const auto it = std::find_if(by_weight.begin(), by_weight.end(),
+                                   [&](int i) { return available(i); });
+      DRHW_CHECK_MSG(it != by_weight.end(), "load precedence is cyclic");
+      set_chosen(*it, true);
+      order.push_back(loads[static_cast<std::size_t>(*it)]);
+    }
+    return order;
+  }
 };
-
-BnbResult search(const SubtaskGraph& graph, const Placement& placement,
-                 const PlatformConfig& platform,
-                 const std::vector<bool>& needs_load, time_us port_from,
-                 std::uint64_t node_limit, bool prune) {
-  SearchContext ctx(graph, placement, platform);
-  ctx.port_from = port_from;
-  ctx.node_limit = node_limit;
-  ctx.prune = prune;
-  for (std::size_t s = 0; s < graph.size(); ++s)
-    if (needs_load[s]) ctx.loads.push_back(static_cast<SubtaskId>(s));
-  ctx.weight = subtask_weights(graph);
-
-  // Load i must come after load j when j's subtask must have *executed*
-  // before load i's tile becomes reconfigurable (i.e. j precedes, in the
-  // combined relation, the subtask scheduled immediately before i's).
-  const auto reach = combined_reachability(graph, placement);
-  ctx.must_precede.assign(ctx.loads.size(), {});
-  for (std::size_t i = 0; i < ctx.loads.size(); ++i) {
-    const SubtaskId b = ctx.loads[i];
-    const SubtaskId prev = placement.prev_on_unit(b);
-    if (prev == k_no_subtask) continue;
-    for (std::size_t j = 0; j < ctx.loads.size(); ++j) {
-      if (i == j) continue;
-      const SubtaskId a = ctx.loads[j];
-      if (a == prev ||
-          reach[static_cast<std::size_t>(a)][static_cast<std::size_t>(prev)])
-        ctx.must_precede[i].push_back(static_cast<int>(j));
-    }
-  }
-  ctx.chosen.assign(ctx.loads.size(), 0);
-  ctx.dfs();
-
-  if (ctx.best_order.size() != ctx.loads.size()) {
-    // Node budget ran out before reaching any leaf: fall back to the greedy
-    // linear extension (take the heaviest available load each step), which
-    // is always feasible.
-    ctx.best_order.clear();
-    std::vector<char> chosen(ctx.loads.size(), 0);
-    while (ctx.best_order.size() < ctx.loads.size()) {
-      int pick = -1;
-      for (int i = 0; i < static_cast<int>(ctx.loads.size()); ++i) {
-        if (chosen[static_cast<std::size_t>(i)]) continue;
-        bool ok = true;
-        for (int p : ctx.must_precede[static_cast<std::size_t>(i)])
-          if (!chosen[static_cast<std::size_t>(p)]) {
-            ok = false;
-            break;
-          }
-        if (!ok) continue;
-        if (pick < 0 ||
-            ctx.weight[static_cast<std::size_t>(ctx.loads[static_cast<std::size_t>(i)])] >
-                ctx.weight[static_cast<std::size_t>(ctx.loads[static_cast<std::size_t>(pick)])])
-          pick = i;
-      }
-      DRHW_CHECK_MSG(pick >= 0, "load precedence is cyclic");
-      chosen[static_cast<std::size_t>(pick)] = 1;
-      ctx.best_order.push_back(ctx.loads[static_cast<std::size_t>(pick)]);
-    }
-  }
-  BnbResult result;
-  result.order = ctx.best_order;
-  result.proven_optimal = !ctx.budget_exhausted;
-  result.nodes_explored = ctx.nodes;
-  LoadPlan plan = explicit_plan(graph, result.order);
-  result.eval = evaluate(graph, placement, platform, plan, port_from);
-  return result;
-}
 
 }  // namespace
 
@@ -211,18 +143,28 @@ BnbResult optimal_prefetch(const SubtaskGraph& graph,
                            const PlatformConfig& platform,
                            const std::vector<bool>& needs_load,
                            const BnbOptions& options) {
-  return search(graph, placement, platform, needs_load,
-                options.port_available_from, options.node_limit,
-                /*prune=*/true);
-}
+  platform.validate();
+  std::vector<SubtaskId> loads;
+  for (std::size_t s = 0; s < graph.size(); ++s)
+    if (needs_load[s]) loads.push_back(static_cast<SubtaskId>(s));
+  SearchContext ctx(graph, placement, platform,
+                    combined_precedence(graph, placement), std::move(loads),
+                    options.port_available_from);
+  ctx.node_limit = options.node_limit;
+  ctx.dfs(0);
 
-BnbResult exhaustive_prefetch(const SubtaskGraph& graph,
-                              const Placement& placement,
-                              const PlatformConfig& platform,
-                              const std::vector<bool>& needs_load,
-                              time_us port_available_from) {
-  return search(graph, placement, platform, needs_load, port_available_from,
-                /*node_limit=*/0, /*prune=*/false);
+  BnbResult result;
+  // The node budget can run out before any leaf is reached: fall back to
+  // the greedy order.
+  result.order = ctx.best_order.size() == ctx.loads.size()
+                     ? std::move(ctx.best_order)
+                     : ctx.greedy_order();
+  result.proven_optimal = !ctx.budget_exhausted;
+  result.nodes_explored = ctx.nodes;
+  LoadPlan plan = explicit_plan(graph, result.order);
+  result.eval = evaluate(graph, placement, platform, plan,
+                         options.port_available_from);
+  return result;
 }
 
 }  // namespace drhw

@@ -13,6 +13,7 @@
 #include "platform/platform.hpp"
 #include "prefetch/bnb.hpp"
 #include "prefetch/list_prefetch.hpp"
+#include "reference_bnb.hpp"
 #include "schedule/list_scheduler.hpp"
 #include "schedule_checks.hpp"
 
@@ -51,7 +52,7 @@ TEST_P(RandomGraphPrefetch, BnbMatchesExhaustiveOptimum) {
   const auto needs = all_drhw(graph_, placement_);
   const auto bnb = optimal_prefetch(graph_, placement_, platform_, needs);
   const auto oracle =
-      exhaustive_prefetch(graph_, placement_, platform_, needs);
+      testing::exhaustive_prefetch(graph_, placement_, platform_, needs);
   EXPECT_TRUE(bnb.proven_optimal);
   EXPECT_EQ(bnb.eval.makespan, oracle.eval.makespan);
   EXPECT_LE(bnb.nodes_explored, oracle.nodes_explored);
