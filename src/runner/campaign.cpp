@@ -283,8 +283,6 @@ void run_online(const Scenario& scenario, WorkloadCache& cache,
   result.deadline_jobs = report.deadline_jobs;
   result.deadline_misses = report.deadline_misses;
   result.deadline_miss_pct = report.deadline_miss_pct;
-  result.high_crit_jobs = report.high_crit_jobs;
-  result.high_crit_misses = report.high_crit_misses;
   result.high_crit_miss_pct = report.high_crit_miss_pct;
   result.mean_lateness_ms = report.mean_lateness_ms;
   result.max_tardiness_ms = report.max_tardiness_ms;

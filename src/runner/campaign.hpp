@@ -118,8 +118,6 @@ struct ScenarioResult {
   long deadline_jobs = 0;
   long deadline_misses = 0;
   double deadline_miss_pct = 0.0;
-  long high_crit_jobs = 0;
-  long high_crit_misses = 0;
   double high_crit_miss_pct = 0.0;
   double mean_lateness_ms = 0.0;
   double max_tardiness_ms = 0.0;

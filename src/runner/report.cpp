@@ -1,11 +1,12 @@
 #include "runner/report.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/json.hpp"
 #include "util/numfmt.hpp"
@@ -13,61 +14,382 @@
 
 namespace drhw {
 
+namespace {
+
+// --- the field tables ------------------------------------------------------
+
+enum FieldFlags : unsigned {
+  k_optional = 0,
+  k_required = 1,     ///< readers throw when the key / column is absent
+  k_online_only = 2,  ///< other rows: no JSON key, an empty CSV cell
+  k_omit_empty = 4,   ///< JSON omits the key when the value is empty
+};
+
+/// A descriptor field that is also the key of every aggregate block.
+constexpr const char* k_family = "family";
+
+/// The scenario descriptor in report order (JSON keys and CSV columns).
+template <typename Visit>
+void visit_descriptor_fields(Visit&& visit) {
+  using S = ParsedScenario;
+  visit("name", &S::name, k_required);
+  visit(k_family, &S::family, k_required);
+  visit("workload", &S::workload, k_required);
+  visit("workload_file", &S::workload_file, k_omit_empty);
+  visit("mode", &S::mode, k_required);
+  visit("approach", &S::approach, k_required);
+  visit("policy_params", &S::policy_params, k_optional);
+  visit("replacement", &S::replacement, k_required);
+  visit("tiles", &S::tiles, k_required);
+  visit("reconfig_latency_us", &S::reconfig_latency_us, k_required);
+  visit("ports", &S::ports, k_required);
+  visit("isps", &S::isps, k_optional);
+  visit("seed", &S::seed, k_required);
+  visit("iterations", &S::iterations, k_required);
+  visit("arrival_kind", &S::arrival_kind, k_online_only);
+  visit("arrival_rate_per_s", &S::arrival_rate_per_s, k_online_only);
+  visit("port_discipline", &S::port_discipline, k_online_only);
+  visit("admission_policy", &S::admission_policy, k_online_only);
+  visit("contiguous", &S::contiguous, k_online_only);
+  visit("defrag", &S::defrag, k_online_only);
+  visit("scheduler_cost_us", &S::scheduler_cost_us, k_online_only);
+  visit("shared_isps", &S::shared_isps, k_online_only);
+  visit("isp_discipline", &S::isp_discipline, k_online_only);
+  visit("deadline_scale", &S::deadline_scale, k_online_only);
+  visit("high_crit_fraction", &S::high_crit_fraction, k_online_only);
+  visit("preempt", &S::preempt, k_online_only);
+  visit("queue_backend", &S::queue_backend, k_online_only);
+  visit("port_util_per_port_pct", &S::port_util_per_port, k_online_only);
+  visit("ok", &S::ok, k_required);
+  visit("error", &S::error, k_required);
+}
+
+/// Which results report a metric. Only the first two are deterministic
+/// and aggregated; the host-time classes are reported, never aggregated.
+enum MetricClass {
+  k_simulated,   ///< ok simulate and online rows
+  k_online,      ///< ok online rows
+  k_sched_cost,  ///< ok sched_cost rows (host time)
+  k_host,        ///< every row (host time)
+};
+
+struct Metric {
+  const char* name;
+  MetricClass kind;
+  double (*get)(const ScenarioResult&);
+};
+
+using R = ScenarioResult;
+
+template <auto Member>
+double field(const R& r) {
+  return static_cast<double>(r.*Member);
+}
+
+/// A SimReport field, divided by Scale (1000: microseconds to ms).
+template <auto Member, int Scale = 1>
+double sim(const R& r) {
+  return static_cast<double>(r.report.*Member) / Scale;
+}
+
+/// Every campaign metric, in CSV column order (wall_ms last).
+constexpr Metric k_metrics[] = {
+    {"makespan_ms", k_simulated, sim<&SimReport::total_actual, 1000>},
+    {"overhead_pct", k_simulated, sim<&SimReport::overhead_pct>},
+    {"reuse_pct", k_simulated, sim<&SimReport::reuse_pct>},
+    {"reuse_hits", k_simulated, sim<&SimReport::reused_subtasks>},
+    {"loads", k_simulated, sim<&SimReport::loads>},
+    {"energy", k_simulated, sim<&SimReport::energy>},
+    {"energy_saved", k_simulated, sim<&SimReport::energy_saved>},
+    {"response_ms", k_online, field<&R::mean_response_ms>},
+    {"response_max_ms", k_online, field<&R::max_response_ms>},
+    {"response_p50_ms", k_online, field<&R::response_p50_ms>},
+    {"response_p95_ms", k_online, field<&R::response_p95_ms>},
+    {"response_p99_ms", k_online, field<&R::response_p99_ms>},
+    {"queueing_ms", k_online, field<&R::mean_queueing_ms>},
+    {"queueing_max_ms", k_online, field<&R::max_queueing_ms>},
+    {"port_util_pct", k_online, field<&R::port_utilisation_pct>},
+    {"isp_util_pct", k_online, field<&R::isp_utilisation_pct>},
+    {"peak_concurrent_migrations", k_online,
+     field<&R::peak_concurrent_migrations>},
+    {"horizon_ms", k_online, field<&R::horizon_ms>},
+    {"frag_pct", k_online, field<&R::frag_pct>},
+    {"queue_skips", k_online, field<&R::queue_skips>},
+    {"defrag_moves", k_online, field<&R::defrag_moves>},
+    // Kernel perf counters: deterministic under the default queue backend
+    // (every campaign scenario uses it). The phase timers never enter
+    // reports.
+    {"perf_events", k_online, field<&R::perf_events_total>},
+    {"perf_queue_depth_max", k_online, field<&R::perf_queue_depth_max>},
+    {"perf_steady_allocs", k_online, field<&R::perf_steady_allocs>},
+    // Real-time outcome: all zero when the scenario runs without deadlines.
+    {"deadline_jobs", k_online, field<&R::deadline_jobs>},
+    {"deadline_misses", k_online, field<&R::deadline_misses>},
+    {"deadline_miss_pct", k_online, field<&R::deadline_miss_pct>},
+    {"high_crit_miss_pct", k_online, field<&R::high_crit_miss_pct>},
+    {"mean_lateness_ms", k_online, field<&R::mean_lateness_ms>},
+    {"max_tardiness_ms", k_online, field<&R::max_tardiness_ms>},
+    {"preemptions", k_online, field<&R::preemptions>},
+    {"list_sched_us", k_sched_cost, field<&R::list_sched_us>},
+    {"hybrid_sched_us", k_sched_cost, field<&R::hybrid_sched_us>},
+    {"wall_ms", k_host, field<&R::wall_ms>},
+};
+
+bool reports(MetricClass kind, const ScenarioResult& result) {
+  const ScenarioMode mode = result.scenario.mode;
+  if (kind == k_host) return true;
+  if (!result.ok) return false;
+  if (kind == k_simulated) return mode != ScenarioMode::sched_cost;
+  return mode == (kind == k_online ? ScenarioMode::online
+                                   : ScenarioMode::sched_cost);
+}
+
+/// MetricSummary's fields in serialisation order.
+template <typename Visit>
+void visit_summary_fields(Visit&& visit) {
+  visit("count", &MetricSummary::count);
+  visit("mean", &MetricSummary::mean);
+  visit("stddev", &MetricSummary::stddev);
+  visit("min", &MetricSummary::min);
+  visit("max", &MetricSummary::max);
+  visit("p50", &MetricSummary::p50);
+  visit("p95", &MetricSummary::p95);
+}
+
+/// Whether the writers emit a field for this row.
+bool carries(const ParsedScenario& row, unsigned flags) {
+  return !(flags & k_online_only) ||
+         row.mode == to_string(ScenarioMode::online);
+}
+
+// --- values ----------------------------------------------------------------
+
+std::string csv_escape(const std::string& text) {
+  if (text.find_first_of(",\"\n") == std::string::npos) return text;
+  std::string out = "\"";
+  for (char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
+/// Policy parameter keys and values are arbitrary strings, so the cell's
+/// ';' / '=' joiners and the escape itself are backslash-escaped, keeping
+/// the cell as lossless as the JSON object.
+std::string escape_param_text(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    if (c == '\\' || c == ';' || c == '=') out += '\\';
+    out += c;
+  }
+  return out;
+}
+
+/// A value as JSON text, or (Csv) as one CSV cell: non-finite doubles are
+/// null / an empty cell, and vectors and policy parameters become one
+/// ';'-joined cell so every row has the header's width.
+template <bool Csv, typename T>
+std::string to_text(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Csv ? (value ? "1" : "0") : (value ? "true" : "false");
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buffer[64];
+    return fmt_shortest_double(value, buffer) ? buffer : Csv ? "" : "null";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return std::to_string(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Csv ? csv_escape(value) : '"' + json_escape(value) + '"';
+  } else {  // a vector, or a map (policy parameters, metrics)
+    constexpr bool is_map = !std::is_same_v<T, std::vector<double>>;
+    std::string out;
+    for (const auto& item : value) {
+      if (&item != &*value.begin()) out += Csv ? ";" : ", ";
+      if constexpr (!is_map)
+        out += to_text<Csv>(item);
+      else if constexpr (Csv)
+        out += escape_param_text(item.first) + "=" +
+               escape_param_text(item.second);
+      else
+        out += to_text<Csv>(item.first) + ": " + to_text<Csv>(item.second);
+    }
+    if constexpr (Csv) return is_map ? csv_escape(out) : out;
+    return is_map ? '{' + out + '}' : '[' + out + ']';
+  }
+}
+
+/// Parses all of `text` as a T: no whitespace, no leftovers, in range.
+template <typename T>
+bool parse_number(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+[[noreturn]] void bad_json(const std::string& key, const char* problem) {
+  throw std::invalid_argument("campaign JSON: '" + key + "' " + problem);
+}
+
+const json::Value& require(const json::Value& value, json::Value::Kind kind,
+                           const std::string& key) {
+  if (value.kind != kind) bad_json(key, "has the wrong type");
+  return value;
+}
+
+constexpr double k_nan = std::numeric_limits<double>::quiet_NaN();
+
+template <typename T>
+void read_json(const json::Value& value, const std::string& key, T& out) {
+  using Kind = json::Value::Kind;
+  if constexpr (std::is_same_v<T, bool>) {
+    out = require(value, Kind::boolean, key).boolean;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    if (std::is_floating_point_v<T> && value.kind == Kind::null)
+      out = static_cast<T>(k_nan);  // null = non-finite
+    else if (!parse_number(require(value, Kind::number, key).text, out))
+      bad_json(key, "does not fit its type");
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = require(value, Kind::string, key).text;
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    for (const json::Value& item : require(value, Kind::array, key).items)
+      read_json(item, key, out.emplace_back());
+  } else {  // PolicyParams, metrics (where null = non-finite: missing)
+    for (const auto& [name, item] : require(value, Kind::object, key).members)
+      if (!std::is_floating_point_v<typename T::mapped_type> ||
+          item.kind != Kind::null)
+        read_json(item, key + "." + name, out[name]);
+  }
+}
+
+/// Reads one non-empty CSV cell; false when it does not parse completely.
+template <typename T>
+bool read_csv(const std::string& cell, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = cell == "1";
+    return out || cell == "0";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return parse_number(cell, out);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = cell;
+  } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+    std::istringstream parts(cell + ';');
+    for (std::string part; std::getline(parts, part, ';');) {
+      double& element = out.emplace_back(k_nan);  // empty = non-finite
+      if (!part.empty() && !parse_number(part, element)) return false;
+    }
+  } else {  // PolicyParams: split on unescaped ';' / first unescaped '='
+    std::string key, text;
+    bool in_value = false, escaped = false;
+    for (char c : cell + ';') {
+      if (!escaped && c == '\\') {
+        escaped = true;
+        continue;
+      }
+      if (!escaped && c == ';') {
+        if (!key.empty()) out[key] = text;
+        key.clear();
+        text.clear();
+        in_value = false;
+      } else if (!escaped && c == '=' && !in_value) {
+        in_value = true;
+      } else {
+        (in_value ? text : key) += c;
+      }
+      escaped = false;
+    }
+    return key.empty();  // else a trailing '\\' escaped the final ';'
+  }
+  return true;
+}
+
+/// Splits one CSV line; a quoted cell may hold ',' and doubled '"'.
+std::vector<std::string> split_csv_line(const std::string& line) {
+  std::vector<std::string> cells(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (quoted && line[i] == '"' && i + 1 < line.size() && line[i + 1] == '"')
+      cells.back() += line[++i];
+    else if (line[i] == '"')
+      quoted = !quoted;
+    else if (line[i] == ',' && !quoted)
+      cells.emplace_back();
+    else
+      cells.back() += line[i];
+  }
+  return cells;
+}
+
+}  // namespace
+
+// --- rows, metrics and aggregation -----------------------------------------
+
 bool operator==(const MetricSummary& a, const MetricSummary& b) {
-  return a.count == b.count && a.mean == b.mean && a.stddev == b.stddev &&
-         a.min == b.min && a.max == b.max && a.p50 == b.p50 && a.p95 == b.p95;
+  bool equal = true;
+  visit_summary_fields([&](const char*, auto member) {
+    equal = equal && a.*member == b.*member;
+  });
+  return equal;
 }
 
 std::map<std::string, double> deterministic_metrics(
     const ScenarioResult& result) {
   std::map<std::string, double> metrics;
-  if (!result.ok || result.scenario.mode == ScenarioMode::sched_cost)
-    return metrics;
-  const SimReport& r = result.report;
-  metrics["makespan_ms"] = static_cast<double>(r.total_actual) / 1000.0;
-  metrics["overhead_pct"] = r.overhead_pct;
-  metrics["reuse_pct"] = r.reuse_pct;
-  metrics["reuse_hits"] = static_cast<double>(r.reused_subtasks);
-  metrics["loads"] = static_cast<double>(r.loads);
-  metrics["energy"] = r.energy;
-  metrics["energy_saved"] = r.energy_saved;
-  if (result.scenario.mode == ScenarioMode::online) {
-    // Simulated-time online metrics: deterministic, so aggregated.
-    metrics["response_ms"] = result.mean_response_ms;
-    metrics["response_max_ms"] = result.max_response_ms;
-    metrics["queueing_ms"] = result.mean_queueing_ms;
-    metrics["queueing_max_ms"] = result.max_queueing_ms;
-    metrics["port_util_pct"] = result.port_utilisation_pct;
-    metrics["horizon_ms"] = result.horizon_ms;
-    metrics["response_p50_ms"] = result.response_p50_ms;
-    metrics["response_p95_ms"] = result.response_p95_ms;
-    metrics["response_p99_ms"] = result.response_p99_ms;
-    metrics["frag_pct"] = result.frag_pct;
-    metrics["queue_skips"] = static_cast<double>(result.queue_skips);
-    metrics["defrag_moves"] = static_cast<double>(result.defrag_moves);
-    metrics["isp_util_pct"] = result.isp_utilisation_pct;
-    metrics["peak_concurrent_migrations"] =
-        static_cast<double>(result.peak_concurrent_migrations);
-    // Kernel perf counters: deterministic under the default queue backend
-    // (every campaign scenario uses it), so thread-count bit-identity
-    // holds. The wall-clock phase timers never enter reports.
-    metrics["perf_events"] = static_cast<double>(result.perf_events_total);
-    metrics["perf_queue_depth_max"] =
-        static_cast<double>(result.perf_queue_depth_max);
-    metrics["perf_steady_allocs"] =
-        static_cast<double>(result.perf_steady_allocs);
-    // Real-time outcome: all zero when the scenario runs without deadlines,
-    // so best-effort aggregate blocks stay bit-identical to older reports
-    // modulo the added keys.
-    metrics["deadline_jobs"] = static_cast<double>(result.deadline_jobs);
-    metrics["deadline_misses"] = static_cast<double>(result.deadline_misses);
-    metrics["deadline_miss_pct"] = result.deadline_miss_pct;
-    metrics["high_crit_miss_pct"] = result.high_crit_miss_pct;
-    metrics["mean_lateness_ms"] = result.mean_lateness_ms;
-    metrics["max_tardiness_ms"] = result.max_tardiness_ms;
-    metrics["preemptions"] = static_cast<double>(result.preemptions);
-  }
+  for (const Metric& metric : k_metrics)
+    if (metric.kind <= k_online && reports(metric.kind, result))
+      metrics[metric.name] = metric.get(result);
   return metrics;
+}
+
+ParsedScenario scenario_row(const ScenarioResult& result) {
+  const Scenario& s = result.scenario;
+  ParsedScenario row;
+  row.name = s.name;
+  row.family = s.family;
+  row.workload = to_string(s.workload);
+  row.workload_file = s.workload_file;
+  row.mode = to_string(s.mode);
+  row.approach = s.sim.policy.name;
+  row.policy_params = s.sim.policy.params;
+  row.replacement = to_string(s.sim.replacement);
+  row.tiles = s.sim.platform.tiles;
+  row.reconfig_latency_us = s.sim.platform.reconfig_latency;
+  row.ports = s.sim.platform.reconfig_ports;
+  row.isps = s.sim.platform.isps;
+  row.seed = s.sim.seed;
+  row.iterations = s.sim.iterations;
+  if (s.mode == ScenarioMode::online) {
+    row.arrival_kind = to_string(s.arrivals.kind);
+    row.arrival_rate_per_s = s.arrivals.rate_per_s;
+    row.port_discipline = to_string(s.port_discipline);
+    row.admission_policy = to_string(s.pool.admission);
+    row.contiguous = s.pool.contiguous;
+    row.defrag = s.pool.defrag;
+    row.scheduler_cost_us = static_cast<double>(s.scheduler_cost);
+    row.shared_isps = s.shared_isps;
+    row.isp_discipline = to_string(s.isp_discipline);
+    row.deadline_scale = s.deadline_scale;
+    row.high_crit_fraction = s.high_crit_fraction;
+    row.preempt = s.preempt;
+    row.queue_backend = to_string(s.queue_backend);
+    row.port_util_per_port = result.port_utilisation_per_port_pct;
+  }
+  row.ok = result.ok;
+  row.error = result.error;
+  for (const Metric& metric : k_metrics)
+    if (reports(metric.kind, result))
+      row.metrics[metric.name] = metric.get(result);
+  return row;
+}
+
+std::vector<std::string> scenario_row_differences(const ParsedScenario& a,
+                                                   const ParsedScenario& b) {
+  std::vector<std::string> out;
+  visit_descriptor_fields([&](const char* key, auto member, unsigned) {
+    if (!(a.*member == b.*member)) out.emplace_back(key);
+  });
+  if (a.metrics != b.metrics) out.emplace_back("metrics");
+  return out;
 }
 
 void StatsAggregator::add(const ScenarioResult& result) {
@@ -123,53 +445,45 @@ GroupSummary StatsAggregator::overall() const {
   return summarize_group("", total_.scenarios, total_.failed, total_.samples);
 }
 
-// --- JSON / CSV writers ----------------------------------------------------
+// --- JSON ------------------------------------------------------------------
 
 namespace {
-
-// fmt_shortest_double / fmt_json_double / json_escape moved to
-// util/numfmt.hpp, shared with the trace and workload writers (the CSV
-// empty-cell convention for non-finite values stays local).
-
-std::string fmt_csv_double(double value) {
-  char buffer[64];
-  return fmt_shortest_double(value, buffer) ? std::string(buffer)
-                                            : std::string();
-}
-
-/// All numeric metrics of one result: the deterministic ones plus the
-/// wall-clock measurements (reported, never aggregated).
-std::map<std::string, double> all_metrics(const ScenarioResult& result) {
-  std::map<std::string, double> metrics = deterministic_metrics(result);
-  if (result.ok && result.scenario.mode == ScenarioMode::sched_cost) {
-    metrics["list_sched_us"] = result.list_sched_us;
-    metrics["hybrid_sched_us"] = result.hybrid_sched_us;
-  }
-  metrics["wall_ms"] = result.wall_ms;
-  return metrics;
-}
 
 void write_summary_json(std::ostream& os, const GroupSummary& summary,
                         int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   os << "{\n"
-     << pad << "  \"family\": \"" << json_escape(summary.family) << "\",\n"
+     << pad << "  \"" << k_family << "\": \"" << json_escape(summary.family)
+     << "\",\n"
      << pad << "  \"scenarios\": " << summary.scenarios << ",\n"
      << pad << "  \"failed\": " << summary.failed << ",\n"
      << pad << "  \"metrics\": {";
-  bool first = true;
+  const char* separator = "\n";
   for (const auto& [name, m] : summary.metrics) {
-    os << (first ? "" : ",") << "\n"
-       << pad << "    \"" << name << "\": {\"count\": " << m.count
-       << ", \"mean\": " << fmt_json_double(m.mean)
-       << ", \"stddev\": " << fmt_json_double(m.stddev)
-       << ", \"min\": " << fmt_json_double(m.min)
-       << ", \"max\": " << fmt_json_double(m.max)
-       << ", \"p50\": " << fmt_json_double(m.p50)
-       << ", \"p95\": " << fmt_json_double(m.p95) << "}";
-    first = false;
+    os << separator << pad << "    \"" << name << "\": {";
+    separator = ",\n";
+    const char* comma = "";
+    visit_summary_fields([&](const char* key, auto member) {
+      os << comma << '"' << key << "\": " << to_text<false>(m.*member);
+      comma = ", ";
+    });
+    os << '}';
   }
   os << "\n" << pad << "  }\n" << pad << "}";
+}
+
+GroupSummary parse_group_summary(const json::Value& v) {
+  GroupSummary summary;
+  read_json(v.at(k_family), k_family, summary.family);
+  read_json(v.at("scenarios"), "scenarios", summary.scenarios);
+  read_json(v.at("failed"), "failed", summary.failed);
+  for (const auto& entry :
+       require(v.at("metrics"), json::Value::Kind::object, "metrics").members)
+    visit_summary_fields([&](const char* key, auto member) {
+      read_json(entry.second.at(key), entry.first + "." + key,
+                summary.metrics[entry.first].*member);
+    });
+  return summary;
 }
 
 }  // namespace
@@ -179,80 +493,16 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
   std::ostringstream os;
   os << "{\n  \"schema\": \"drhw-campaign-v1\",\n  \"scenarios\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& result = results[i];
-    const Scenario& s = result.scenario;
-    os << (i == 0 ? "" : ",") << "\n    {\n"
-       << "      \"name\": \"" << json_escape(s.name) << "\",\n"
-       << "      \"family\": \"" << json_escape(s.family) << "\",\n"
-       << "      \"workload\": \"" << to_string(s.workload) << "\",\n";
-    if (!s.workload_file.empty())
-      os << "      \"workload_file\": \"" << json_escape(s.workload_file)
-         << "\",\n";
-    os << "      \"mode\": \"" << to_string(s.mode) << "\",\n"
-       << "      \"approach\": \"" << json_escape(s.sim.policy.name)
-       << "\",\n"
-       << "      \"policy_params\": {";
-    {
-      bool first_param = true;
-      for (const auto& [key, value] : s.sim.policy.params) {
-        os << (first_param ? "" : ", ") << "\"" << json_escape(key)
-           << "\": \"" << json_escape(value) << "\"";
-        first_param = false;
-      }
-    }
-    os << "},\n"
-       << "      \"replacement\": \"" << to_string(s.sim.replacement)
-       << "\",\n"
-       << "      \"tiles\": " << s.sim.platform.tiles << ",\n"
-       << "      \"reconfig_latency_us\": " << s.sim.platform.reconfig_latency
-       << ",\n"
-       << "      \"ports\": " << s.sim.platform.reconfig_ports << ",\n"
-       << "      \"isps\": " << s.sim.platform.isps << ",\n"
-       << "      \"seed\": " << s.sim.seed << ",\n"
-       << "      \"iterations\": " << s.sim.iterations << ",\n";
-    if (s.mode == ScenarioMode::online) {
-      os << "      \"arrival_kind\": \"" << to_string(s.arrivals.kind)
-         << "\",\n"
-         << "      \"arrival_rate_per_s\": "
-         << fmt_json_double(s.arrivals.rate_per_s) << ",\n"
-         << "      \"port_discipline\": \"" << to_string(s.port_discipline)
-         << "\",\n"
-         << "      \"admission_policy\": \"" << to_string(s.pool.admission)
-         << "\",\n"
-         << "      \"contiguous\": " << (s.pool.contiguous ? "true" : "false")
-         << ",\n"
-         << "      \"defrag\": " << (s.pool.defrag ? "true" : "false")
-         << ",\n"
-         << "      \"scheduler_cost_us\": " << s.scheduler_cost << ",\n"
-         << "      \"shared_isps\": " << (s.shared_isps ? "true" : "false")
-         << ",\n"
-         << "      \"isp_discipline\": \"" << to_string(s.isp_discipline)
-         << "\",\n"
-         << "      \"deadline_scale\": " << fmt_json_double(s.deadline_scale)
-         << ",\n"
-         << "      \"high_crit_fraction\": "
-         << fmt_json_double(s.high_crit_fraction) << ",\n"
-         << "      \"preempt\": " << (s.preempt ? "true" : "false") << ",\n"
-         << "      \"queue_backend\": \"" << to_string(s.queue_backend)
-         << "\",\n"
-         << "      \"port_util_per_port_pct\": [";
-      for (std::size_t p = 0; p < result.port_utilisation_per_port_pct.size();
-           ++p)
-        os << (p == 0 ? "" : ", ")
-           << fmt_json_double(result.port_utilisation_per_port_pct[p]);
-      os << "],\n";
-    }
-    os
-       << "      \"ok\": " << (result.ok ? "true" : "false") << ",\n"
-       << "      \"error\": \"" << json_escape(result.error) << "\",\n"
-       << "      \"metrics\": {";
-    bool first = true;
-    for (const auto& [name, value] : all_metrics(result)) {
-      os << (first ? "" : ", ") << "\"" << name
-         << "\": " << fmt_json_double(value);
-      first = false;
-    }
-    os << "}\n    }";
+    const ParsedScenario row = scenario_row(results[i]);
+    os << (i == 0 ? "" : ",") << "\n    {\n";
+    visit_descriptor_fields([&](const char* key, auto member, unsigned flags) {
+      const auto& value = row.*member;
+      if (!carries(row, flags) ||
+          ((flags & k_omit_empty) && value == std::decay_t<decltype(value)>{}))
+        return;
+      os << "      \"" << key << "\": " << to_text<false>(value) << ",\n";
+    });
+    os << "      \"metrics\": " << to_text<false>(row.metrics) << "\n    }";
   }
   os << "\n  ],\n  \"families\": [";
   const auto families = aggregator.by_family();
@@ -266,273 +516,55 @@ std::string campaign_to_json(const std::vector<ScenarioResult>& results,
   return os.str();
 }
 
-namespace {
-
-const char* const k_csv_metric_columns[] = {
-    "makespan_ms",     "overhead_pct",    "reuse_pct",
-    "reuse_hits",      "loads",           "energy",
-    "energy_saved",    "response_ms",     "response_max_ms",
-    "response_p50_ms", "response_p95_ms", "response_p99_ms",
-    "queueing_ms",     "queueing_max_ms", "port_util_pct",
-    "isp_util_pct",    "peak_concurrent_migrations",
-    "horizon_ms",      "frag_pct",        "queue_skips",
-    "defrag_moves",    "perf_events",     "perf_queue_depth_max",
-    "perf_steady_allocs",
-    "deadline_jobs",   "deadline_misses", "deadline_miss_pct",
-    "high_crit_miss_pct", "mean_lateness_ms", "max_tardiness_ms",
-    "preemptions",
-    "list_sched_us",   "hybrid_sched_us", "wall_ms"};
-
-/// The per-port utilisation vector as one fixed-width CSV cell:
-/// ';'-joined doubles (empty for non-online rows).
-std::string fmt_port_vector(const std::vector<double>& per_port) {
-  std::string out;
-  for (std::size_t p = 0; p < per_port.size(); ++p) {
-    if (p > 0) out += ';';
-    out += fmt_csv_double(per_port[p]);
-  }
-  return out;
-}
-
-/// Policy parameters as one fixed-width CSV cell: ';'-joined "k=v" pairs
-/// (empty for parameterless policies). Parameter values are arbitrary
-/// strings, so the separators — and the escape itself — are
-/// backslash-escaped; the reader below undoes it, keeping the cell as
-/// lossless as the JSON object form.
-std::string escape_param_text(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '\\' || c == ';' || c == '=') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-std::string fmt_policy_params(const PolicyParams& params) {
-  std::string out;
-  for (const auto& [key, value] : params) {
-    if (!out.empty()) out += ';';
-    out += escape_param_text(key) + "=" + escape_param_text(value);
-  }
-  return out;
-}
-
-/// Inverse of fmt_policy_params(): splits on unescaped ';' / first
-/// unescaped '=', honouring backslash escapes.
-PolicyParams parse_policy_params_cell(const std::string& cell) {
-  PolicyParams out;
-  std::string key, value;
-  bool in_value = false, escaped = false;
-  const auto flush = [&] {
-    if (!key.empty()) out[key] = value;
-    key.clear();
-    value.clear();
-    in_value = false;
-  };
-  for (char c : cell) {
-    if (escaped) {
-      (in_value ? value : key) += c;
-      escaped = false;
-    } else if (c == '\\') {
-      escaped = true;
-    } else if (c == ';') {
-      flush();
-    } else if (c == '=' && !in_value) {
-      in_value = true;
-    } else {
-      (in_value ? value : key) += c;
-    }
-  }
-  flush();
-  return out;
-}
-
-std::string csv_escape(const std::string& text) {
-  if (text.find_first_of(",\"\n") == std::string::npos) return text;
-  std::string out = "\"";
-  for (char c : text) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
-  std::ostringstream os;
-  os << "name,family,workload,workload_file,mode,approach,policy_params,"
-        "replacement,tiles,"
-        "reconfig_latency_us,ports,isps,seed,iterations,admission_policy,"
-        "contiguous,defrag,scheduler_cost_us,shared_isps,isp_discipline,"
-        "deadline_scale,high_crit_fraction,preempt,queue_backend,"
-        "port_util_per_port_pct,ok,error";
-  for (const char* column : k_csv_metric_columns) os << "," << column;
-  os << "\n";
-  for (const ScenarioResult& result : results) {
-    const Scenario& s = result.scenario;
-    os << csv_escape(s.name) << "," << csv_escape(s.family) << ","
-       << to_string(s.workload) << "," << csv_escape(s.workload_file) << ","
-       << to_string(s.mode) << ","
-       << csv_escape(s.sim.policy.name) << ","
-       << csv_escape(fmt_policy_params(s.sim.policy.params)) << ","
-       << to_string(s.sim.replacement)
-       << "," << s.sim.platform.tiles << "," << s.sim.platform.reconfig_latency
-       << "," << s.sim.platform.reconfig_ports << ","
-       << s.sim.platform.isps << "," << s.sim.seed << ","
-       << s.sim.iterations << "," << to_string(s.pool.admission) << ","
-       << (s.pool.contiguous ? "1" : "0") << ","
-       << (s.pool.defrag ? "1" : "0") << "," << s.scheduler_cost << ","
-       << (s.shared_isps ? "1" : "0") << "," << to_string(s.isp_discipline)
-       << "," << fmt_csv_double(s.deadline_scale) << ","
-       << fmt_csv_double(s.high_crit_fraction) << ","
-       << (s.preempt ? "1" : "0") << "," << to_string(s.queue_backend)
-       << "," << fmt_port_vector(result.port_utilisation_per_port_pct) << ","
-       << (result.ok ? "1" : "0") << "," << csv_escape(result.error);
-    const auto metrics = all_metrics(result);
-    for (const char* column : k_csv_metric_columns) {
-      const auto it = metrics.find(column);
-      os << ",";
-      if (it != metrics.end()) os << fmt_csv_double(it->second);
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-// --- JSON reader -----------------------------------------------------------
-
-namespace {
-
-MetricSummary parse_metric_summary(const json::Value& v) {
-  MetricSummary m;
-  m.count = static_cast<std::size_t>(v.at("count").number);
-  m.mean = v.at("mean").number;
-  m.stddev = v.at("stddev").number;
-  m.min = v.at("min").number;
-  m.max = v.at("max").number;
-  m.p50 = v.at("p50").number;
-  m.p95 = v.at("p95").number;
-  return m;
-}
-
-GroupSummary parse_group_summary(const json::Value& v) {
-  GroupSummary summary;
-  summary.family = v.at("family").text;
-  summary.scenarios = static_cast<std::size_t>(v.at("scenarios").number);
-  summary.failed = static_cast<std::size_t>(v.at("failed").number);
-  for (const auto& [name, metric] : v.at("metrics").members)
-    summary.metrics[name] = parse_metric_summary(metric);
-  return summary;
-}
-
-}  // namespace
-
 ParsedCampaign campaign_from_json(const std::string& json) {
+  using Kind = json::Value::Kind;
   const auto root = json::parse(json, "campaign JSON");
   ParsedCampaign campaign;
-  campaign.schema = root.at("schema").text;
+  read_json(root.at("schema"), "schema", campaign.schema);
   if (campaign.schema != "drhw-campaign-v1")
     throw std::invalid_argument("unknown campaign schema '" +
                                 campaign.schema + "'");
-  for (const auto& item : root.at("scenarios").items) {
-    ParsedScenario s;
-    s.name = item.at("name").text;
-    s.family = item.at("family").text;
-    s.workload = item.at("workload").text;
-    if (const auto* file = item.find("workload_file"))
-      s.workload_file = file->text;
-    if (const auto* backend = item.find("queue_backend"))
-      s.queue_backend = backend->text;
-    s.mode = item.at("mode").text;
-    s.approach = item.at("approach").text;
-    if (const auto* params = item.find("policy_params"))
-      for (const auto& [key, value] : params->members)
-        s.policy_params[key] = value.text;
-    s.replacement = item.at("replacement").text;
-    s.tiles = static_cast<int>(item.at("tiles").number);
-    s.reconfig_latency_us =
-        std::strtoll(item.at("reconfig_latency_us").text.c_str(), nullptr, 10);
-    s.ports = static_cast<int>(item.at("ports").number);
-    s.seed = std::strtoull(item.at("seed").text.c_str(), nullptr, 10);
-    s.iterations = static_cast<int>(item.at("iterations").number);
-    if (const auto* kind = item.find("arrival_kind")) s.arrival_kind = kind->text;
-    if (const auto* rate = item.find("arrival_rate_per_s"))
-      s.arrival_rate_per_s = rate->number;
-    if (const auto* discipline = item.find("port_discipline"))
-      s.port_discipline = discipline->text;
-    if (const auto* admission = item.find("admission_policy"))
-      s.admission_policy = admission->text;
-    if (const auto* contiguous = item.find("contiguous"))
-      s.contiguous = contiguous->boolean;
-    if (const auto* defrag = item.find("defrag")) s.defrag = defrag->boolean;
-    if (const auto* cost = item.find("scheduler_cost_us"))
-      s.scheduler_cost_us = cost->number;
-    if (const auto* isps = item.find("isps"))
-      s.isps = static_cast<int>(isps->number);
-    if (const auto* shared = item.find("shared_isps"))
-      s.shared_isps = shared->boolean;
-    if (const auto* discipline = item.find("isp_discipline"))
-      s.isp_discipline = discipline->text;
-    // Optional like every post-v1 descriptor field: reports written before
-    // the real-time columns existed parse with the neutral defaults.
-    if (const auto* scale = item.find("deadline_scale"))
-      s.deadline_scale = scale->number;
-    if (const auto* crit = item.find("high_crit_fraction"))
-      s.high_crit_fraction = crit->number;
-    if (const auto* preempt = item.find("preempt"))
-      s.preempt = preempt->boolean;
-    if (const auto* per_port = item.find("port_util_per_port_pct"))
-      for (const auto& value : per_port->items)
-        s.port_util_per_port.push_back(value.number);
-    s.ok = item.at("ok").boolean;
-    s.error = item.at("error").text;
-    for (const auto& [name, value] : item.at("metrics").members)
-      if (value.kind != json::Value::Kind::null)  // null = non-finite
-        s.metrics[name] = value.number;
-    campaign.scenarios.push_back(std::move(s));
+  for (const auto& item :
+       require(root.at("scenarios"), Kind::array, "scenarios").items) {
+    ParsedScenario& row = campaign.scenarios.emplace_back();
+    visit_descriptor_fields([&](const char* key, auto member, unsigned flags) {
+      if (const json::Value* value =
+              (flags & k_required) ? &item.at(key) : item.find(key))
+        read_json(*value, key, row.*member);
+    });
+    read_json(item.at("metrics"), "metrics", row.metrics);
   }
-  for (const auto& item : root.at("families").items)
+  for (const auto& item :
+       require(root.at("families"), Kind::array, "families").items)
     campaign.families.push_back(parse_group_summary(item));
   campaign.overall = parse_group_summary(root.at("overall"));
   return campaign;
 }
 
-namespace {
+// --- CSV -------------------------------------------------------------------
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else {
-      cell += c;
+std::string campaign_to_csv(const std::vector<ScenarioResult>& results) {
+  // Every descriptor cell ends in ',': the metric columns follow.
+  std::ostringstream os;
+  visit_descriptor_fields(
+      [&](const char* key, auto, unsigned) { os << key << ','; });
+  for (const Metric& metric : k_metrics)
+    os << (&metric == k_metrics ? "" : ",") << metric.name;
+  os << '\n';
+  for (const ScenarioResult& result : results) {
+    const ParsedScenario row = scenario_row(result);
+    visit_descriptor_fields([&](const char*, auto member, unsigned flags) {
+      os << (carries(row, flags) ? to_text<true>(row.*member) : "") << ',';
+    });
+    for (const Metric& metric : k_metrics) {
+      const auto it = row.metrics.find(metric.name);
+      os << (&metric == k_metrics ? "" : ",")
+         << (it == row.metrics.end() ? "" : to_text<true>(it->second));
     }
+    os << '\n';
   }
-  cells.push_back(std::move(cell));
-  return cells;
+  return os.str();
 }
-
-}  // namespace
 
 std::vector<ParsedScenario> campaign_from_csv(const std::string& csv) {
   std::istringstream is(csv);
@@ -540,80 +572,37 @@ std::vector<ParsedScenario> campaign_from_csv(const std::string& csv) {
   if (!std::getline(is, line))
     throw std::invalid_argument("campaign CSV: empty input");
   const std::vector<std::string> header = split_csv_line(line);
+  // One reader per column: its descriptor field's, else a metric's, so
+  // newer reports keep their extra columns.
+  using Reader = std::function<bool(ParsedScenario&, const std::string&)>;
+  std::vector<Reader> readers;
+  for (const std::string& name : header)
+    readers.emplace_back([name](auto& row, const auto& cell) {
+      return read_csv(cell, row.metrics[name]);
+    });
+  visit_descriptor_fields([&](const char* key, auto member, unsigned flags) {
+    const auto it = std::find(header.begin(), header.end(), key);
+    if (it != header.end())
+      readers[it - header.begin()] = [member](auto& row, const auto& cell) {
+        return read_csv(cell, row.*member);
+      };
+    else if (flags & k_required)
+      throw std::invalid_argument(std::string("campaign CSV: no column '") +
+                                  key + "'");
+  });
+
   std::vector<ParsedScenario> out;
-  while (std::getline(is, line)) {
+  for (std::size_t number = 2; std::getline(is, line); ++number) {
     if (line.empty()) continue;
     const std::vector<std::string> cells = split_csv_line(line);
+    const std::string where = "campaign CSV line " + std::to_string(number);
     if (cells.size() != header.size())
-      throw std::invalid_argument("campaign CSV: row width mismatch");
-    ParsedScenario s;
-    for (std::size_t i = 0; i < header.size(); ++i) {
-      const std::string& key = header[i];
-      const std::string& value = cells[i];
-      if (key == "name")
-        s.name = value;
-      else if (key == "family")
-        s.family = value;
-      else if (key == "workload")
-        s.workload = value;
-      else if (key == "workload_file")
-        s.workload_file = value;
-      else if (key == "queue_backend")
-        s.queue_backend = value;
-      else if (key == "mode")
-        s.mode = value;
-      else if (key == "approach")
-        s.approach = value;
-      else if (key == "policy_params")
-        s.policy_params = parse_policy_params_cell(value);
-      else if (key == "replacement")
-        s.replacement = value;
-      else if (key == "tiles")
-        s.tiles = std::atoi(value.c_str());
-      else if (key == "reconfig_latency_us")
-        s.reconfig_latency_us = std::strtoll(value.c_str(), nullptr, 10);
-      else if (key == "ports")
-        s.ports = std::atoi(value.c_str());
-      else if (key == "seed")
-        s.seed = std::strtoull(value.c_str(), nullptr, 10);
-      else if (key == "iterations")
-        s.iterations = std::atoi(value.c_str());
-      else if (key == "admission_policy")
-        s.admission_policy = value;
-      else if (key == "contiguous")
-        s.contiguous = value == "1";
-      else if (key == "defrag")
-        s.defrag = value == "1";
-      else if (key == "scheduler_cost_us")
-        s.scheduler_cost_us = std::strtod(value.c_str(), nullptr);
-      else if (key == "isps")
-        s.isps = std::atoi(value.c_str());
-      else if (key == "shared_isps")
-        s.shared_isps = value == "1";
-      else if (key == "isp_discipline")
-        s.isp_discipline = value;
-      else if (key == "deadline_scale")
-        s.deadline_scale = std::strtod(value.c_str(), nullptr);
-      else if (key == "high_crit_fraction")
-        s.high_crit_fraction = std::strtod(value.c_str(), nullptr);
-      else if (key == "preempt")
-        s.preempt = value == "1";
-      else if (key == "port_util_per_port_pct") {
-        std::istringstream cell(value);
-        std::string part;
-        while (std::getline(cell, part, ';'))
-          if (!part.empty())
-            s.port_util_per_port.push_back(
-                std::strtod(part.c_str(), nullptr));
-      }
-      else if (key == "ok")
-        s.ok = value == "1";
-      else if (key == "error")
-        s.error = value;
-      else if (!value.empty())
-        s.metrics[key] = std::strtod(value.c_str(), nullptr);
-    }
-    out.push_back(std::move(s));
+      throw std::invalid_argument(where + ": row width mismatch");
+    ParsedScenario& row = out.emplace_back();
+    for (std::size_t column = 0; column < header.size(); ++column)
+      if (!cells[column].empty() && !readers[column](row, cells[column]))
+        throw std::invalid_argument(where + ", column '" + header[column] +
+                                    "': cannot parse '" + cells[column] + "'");
   }
   return out;
 }

@@ -2,12 +2,19 @@
 
 /// \file report.hpp
 /// Campaign result aggregation and serialisation. The StatsAggregator
-/// folds per-scenario SimReport metrics into per-family and whole-campaign
-/// summary distributions (mean/stddev/min/max/p50/p95); the JSON and CSV
-/// writers produce machine-readable reports, and the matching readers
-/// round-trip them (used by tooling and the regression tests).
+/// folds per-scenario metrics into per-family and whole-campaign summary
+/// distributions (mean/stddev/min/max/p50/p95); the JSON and CSV writers
+/// produce machine-readable reports, and the matching readers round-trip
+/// them (used by tooling and the regression tests).
 ///
-/// Only deterministic metrics enter the aggregates; wall-clock fields
+/// One descriptor table and one metric table in report.cpp drive both
+/// writers, both readers and deterministic_metrics(); scenario_row() is the
+/// only code that maps a ScenarioResult onto a report row. The readers are
+/// strict: a known field of the wrong JSON kind, or a non-empty CSV cell
+/// that does not fully parse for its column, throws std::invalid_argument
+/// naming it.
+///
+/// Only deterministic metrics enter the aggregates; host-time fields
 /// (wall_ms, the sched_cost timings) are reported per scenario but never
 /// aggregated, so aggregate blocks are bit-identical across thread counts
 /// and machines.
@@ -38,8 +45,7 @@ struct GroupSummary {
   std::string family;  ///< empty for the whole-campaign summary
   std::size_t scenarios = 0;
   std::size_t failed = 0;
-  /// metric name -> distribution. Metrics: makespan_ms, overhead_pct,
-  /// reuse_pct, reuse_hits, loads, energy, energy_saved.
+  /// metric name -> distribution over the group's deterministic_metrics().
   std::map<std::string, MetricSummary> metrics;
 };
 
@@ -78,10 +84,10 @@ std::map<std::string, double> deterministic_metrics(
 std::string campaign_to_json(const std::vector<ScenarioResult>& results,
                              const StatsAggregator& aggregator);
 
-/// Per-scenario results as CSV (one header row, one row per scenario).
+/// Per-scenario CSV: descriptor columns, then metric columns (wall_ms last).
 std::string campaign_to_csv(const std::vector<ScenarioResult>& results);
 
-/// Parsed form of a campaign report (reader side of the round trip).
+/// One report row: what both readers return and both writers serialise.
 struct ParsedScenario {
   std::string name;
   std::string family;
@@ -90,7 +96,7 @@ struct ParsedScenario {
   /// in reports written before the workload-file column existed).
   std::string workload_file;
   std::string mode;
-  /// The prefetch policy's registered name (the column keeps its historic
+  /// The prefetch policy's registered name (the field keeps its historic
   /// "approach" spelling in both report formats).
   std::string approach;
   /// The policy's parameters, exactly as in the scenario's PolicySpec.
@@ -100,9 +106,11 @@ struct ParsedScenario {
   int tiles = 0;
   long long reconfig_latency_us = 0;
   int ports = 0;
+  int isps = 0;
   std::uint64_t seed = 0;
   int iterations = 0;
-  /// Online scenarios only (empty / 0 otherwise).
+  /// Online rows only, arrival_kind through port_util_per_port (empty / 0
+  /// otherwise, and in reports written before a field existed).
   std::string arrival_kind;
   double arrival_rate_per_s = 0.0;
   std::string port_discipline;
@@ -110,27 +118,31 @@ struct ParsedScenario {
   bool contiguous = false;
   bool defrag = false;
   double scheduler_cost_us = 0.0;
-  int isps = 0;
   bool shared_isps = false;
   std::string isp_discipline;
-  /// Real-time task model (online scenarios; 0/false in reports written
-  /// before the deadline columns existed — readers treat the fields as
-  /// optional).
+  /// Real-time task model.
   double deadline_scale = 0.0;
   double high_crit_fraction = 0.0;
   bool preempt = false;
-  /// Event-queue backend of online scenarios (empty in pre-backend
-  /// reports; the default backend is "calendar").
+  /// Event-queue backend (the default backend is "calendar").
   std::string queue_backend;
+  /// Per-port utilisation vector. JSON: a "port_util_per_port_pct" array;
+  /// CSV: one ';'-joined cell, so the row stays fixed-width.
+  std::vector<double> port_util_per_port;
   bool ok = false;
   std::string error;
-  /// metric name -> value, exactly the columns/keys of the writers.
+  /// metric name -> value (a non-finite value is written as JSON null / an
+  /// empty CSV cell and reads back as missing).
   std::map<std::string, double> metrics;
-  /// Per-port utilisation vector (online scenarios; empty otherwise or in
-  /// pre-multiport reports). JSON: a "port_util_per_port_pct" array; CSV:
-  /// one ';'-joined cell, so the row stays fixed-width.
-  std::vector<double> port_util_per_port;
 };
+
+/// A result's report row (online-only fields stay default on other rows).
+ParsedScenario scenario_row(const ScenarioResult& result);
+
+/// The descriptor keys (in table order) on which two rows differ, plus
+/// "metrics" when their metric maps differ; empty when the rows are equal.
+std::vector<std::string> scenario_row_differences(const ParsedScenario& a,
+                                                  const ParsedScenario& b);
 
 struct ParsedCampaign {
   std::string schema;

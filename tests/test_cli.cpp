@@ -67,7 +67,8 @@ TEST(Cli, WorkloadParseErrorExitsTwoWithPosition) {
 TEST(Cli, UnknownFlagExitsTwoWithRegisteredLists) {
   for (const char* subcommand :
        {"campaign --frobnicate", "online --frobnicate",
-        "genwork --frobnicate", "trace frobnicate x"}) {
+        "genwork --frobnicate", "trace frobnicate x",
+        "schedule g.json --tiles", "schedule g.json --bogus 3"}) {
     const CliResult result = run_cli(subcommand);
     EXPECT_EQ(result.exit_code, 2) << subcommand << "\n" << result.output;
     EXPECT_NE(result.output.find("usage:"), std::string::npos) << subcommand;

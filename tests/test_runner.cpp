@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <sstream>
 
 #include "policy/names.hpp"
 #include "policy/registry.hpp"
@@ -625,6 +626,177 @@ TEST(Report, ReadsReportsWrittenBeforeTheDeadlineColumnsExisted) {
   // *new* report sees the extra columns as plain metrics (CSV) or ignores
   // unknown keys (JSON find()-based parsing) — the tolerant fallback the
   // writers rely on is pinned by the round-trip tests above.
+}
+
+TEST(Report, EveryDescriptorFieldRoundTripsThroughBothFormats) {
+  // One online scenario with every descriptor field off its default, and
+  // one simulate-mode scenario: each format must read back exactly the row
+  // scenario_row() built, field by field.
+  Scenario online;
+  online.name = "rt/every-field";
+  online.family = "rt";
+  online.mode = ScenarioMode::online;
+  online.sim.platform = virtex2_platform(10);
+  online.sim.platform.reconfig_ports = 2;
+  online.sim.platform.isps = 2;
+  online.sim.policy = PolicySpec(policy_names::hybrid).with("intertask", "0");
+  online.sim.replacement = ReplacementPolicy::weight_aware;
+  online.sim.iterations = 20;
+  online.arrivals.kind = ArrivalProcess::Kind::bursty;
+  online.arrivals.rate_per_s = 37.5;
+  online.port_discipline = PortDiscipline::priority;
+  online.pool.admission = AdmissionPolicy::backfill_bypass;
+  online.pool.contiguous = true;
+  online.pool.defrag = true;
+  online.scheduler_cost = us(50);
+  online.shared_isps = true;
+  online.isp_discipline = PortDiscipline::priority;
+  online.deadline_scale = 3.0;
+  online.high_crit_fraction = 0.5;
+  online.preempt = true;
+  online.queue_backend = QueueBackend::heap;
+  std::vector<ScenarioResult> results;
+  for (const Scenario& s :
+       {online, quick_scenario("rt/simulate", "rt", policy_names::hybrid, 2)}) {
+    results.push_back(run_scenario(s, /*record_wall_time=*/false));
+    ASSERT_TRUE(results.back().ok) << results.back().error;
+  }
+
+  StatsAggregator aggregator;
+  aggregator.add(results);
+  const ParsedCampaign parsed =
+      campaign_from_json(campaign_to_json(results, aggregator));
+  const auto rows = campaign_from_csv(campaign_to_csv(results));
+  ASSERT_EQ(parsed.scenarios.size(), results.size());
+  ASSERT_EQ(rows.size(), results.size());
+  const std::vector<std::string> none;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ParsedScenario expected = scenario_row(results[i]);
+    EXPECT_EQ(scenario_row_differences(expected, parsed.scenarios[i]), none)
+        << "JSON " << expected.name;
+    EXPECT_EQ(scenario_row_differences(expected, rows[i]), none)
+        << "CSV " << expected.name;
+  }
+
+  const ParsedScenario& row = rows[0];
+  EXPECT_EQ(row.policy_params, online.sim.policy.params);
+  EXPECT_EQ(row.replacement, to_string(ReplacementPolicy::weight_aware));
+  EXPECT_EQ(row.ports, 2);
+  EXPECT_EQ(row.isps, 2);
+  EXPECT_EQ(row.queue_backend, "heap");
+  EXPECT_EQ(row.arrival_kind, "bursty");
+  EXPECT_EQ(row.arrival_rate_per_s, 37.5);
+  EXPECT_EQ(row.port_discipline, "priority");
+  EXPECT_EQ(row.admission_policy, "backfill_bypass");
+  EXPECT_TRUE(row.contiguous && row.defrag && row.shared_isps);
+  EXPECT_EQ(row.scheduler_cost_us, 50.0);
+  EXPECT_EQ(row.isp_discipline, "priority");
+  EXPECT_EQ(row.deadline_scale, 3.0);
+  EXPECT_EQ(row.high_crit_fraction, 0.5);
+  EXPECT_TRUE(row.preempt);
+  EXPECT_EQ(row.port_util_per_port.size(), 2u);
+  // Online-only fields read back empty on the simulate row.
+  EXPECT_EQ(rows[1].arrival_kind, "");
+  EXPECT_EQ(rows[1].admission_policy, "");
+  EXPECT_EQ(rows[1].queue_backend, "");
+
+  // The comparison itself names exactly the fields that differ.
+  ParsedScenario changed = rows[0];
+  changed.isp_discipline = "fifo";
+  changed.metrics["loads"] += 1.0;
+  EXPECT_EQ(scenario_row_differences(rows[0], changed),
+            (std::vector<std::string>{"isp_discipline", "metrics"}));
+}
+
+/// `report` with the first scenario's `"key": value` replaced.
+std::string with_json_value(std::string report, const std::string& key,
+                            const std::string& value) {
+  const std::string prefix = "\"" + key + "\": ";
+  const std::size_t start = report.find(prefix) + prefix.size();
+  const std::size_t end = report.find(",\n", start);
+  return report.replace(start, end - start, value);
+}
+
+/// A one-row CSV report with the `column` cell replaced (no quoted cells).
+std::string with_csv_cell(const std::string& csv, const std::string& column,
+                          const std::string& value) {
+  std::vector<std::vector<std::string>> lines;
+  std::istringstream in(csv);
+  for (std::string line; std::getline(in, line);) {
+    lines.emplace_back();
+    std::istringstream cells(line + ",");
+    for (std::string cell; std::getline(cells, cell, ',');)
+      lines.back().push_back(cell);
+  }
+  const auto it = std::find(lines[0].begin(), lines[0].end(), column);
+  lines[1][static_cast<std::size_t>(it - lines[0].begin())] = value;
+  std::string out;
+  for (const auto& cells : lines) {
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      out += (i == 0 ? "" : ",") + cells[i];
+    out += "\n";
+  }
+  return out;
+}
+
+template <typename Parse>
+void expect_rejected(Parse parse, const std::string& input,
+                     const std::vector<std::string>& named) {
+  try {
+    parse(input);
+    ADD_FAILURE() << "accepted:\n" << input;
+  } catch (const std::invalid_argument& e) {
+    for (const std::string& word : named)
+      EXPECT_NE(std::string(e.what()).find(word), std::string::npos)
+          << e.what() << " should name " << word;
+  }
+}
+
+TEST(Report, ReadersRejectMalformedFieldsNamingThem) {
+  // No silent misreads: a known field of the wrong JSON kind, or a CSV cell
+  // that does not parse completely for its column, is an error naming the
+  // field (and the CSV line), never a 0.
+  const ScenarioResult result = run_scenario(
+      quick_scenario("strict/a", "strict", policy_names::no_prefetch, 1),
+      /*record_wall_time=*/false);
+  ASSERT_TRUE(result.ok) << result.error;
+  StatsAggregator aggregator;
+  aggregator.add(result);
+  const std::string json = campaign_to_json({result}, aggregator);
+  const std::string csv = campaign_to_csv({result});
+  ASSERT_NO_THROW(campaign_from_json(json));
+  ASSERT_NO_THROW(campaign_from_csv(csv));
+
+  const auto from_json = [](const std::string& text) {
+    campaign_from_json(text);
+  };
+  expect_rejected(from_json, with_json_value(json, "tiles", "\"8\""),
+                  {"'tiles'"});
+  expect_rejected(from_json, with_json_value(json, "tiles", "8.5"),
+                  {"'tiles'"});
+  expect_rejected(from_json, with_json_value(json, "seed", "-1"), {"'seed'"});
+  expect_rejected(from_json, with_json_value(json, "ok", "1"), {"'ok'"});
+  expect_rejected(from_json, with_json_value(json, "name", "null"),
+                  {"'name'"});
+  expect_rejected(from_json, with_json_value(json, "policy_params", "[]"),
+                  {"'policy_params'"});
+
+  const auto from_csv = [](const std::string& text) {
+    campaign_from_csv(text);
+  };
+  expect_rejected(from_csv, with_csv_cell(csv, "tiles", "abc"),
+                  {"'tiles'", "line 2"});
+  expect_rejected(from_csv, with_csv_cell(csv, "tiles", "8 "),
+                  {"'tiles'", "line 2"});
+  expect_rejected(from_csv, with_csv_cell(csv, "ok", "yes"),
+                  {"'ok'", "line 2"});
+  expect_rejected(from_csv, with_csv_cell(csv, "overhead_pct", "1.5x"),
+                  {"'overhead_pct'", "line 2"});
+  // An empty metric cell still means "missing".
+  const auto rows = campaign_from_csv(with_csv_cell(csv, "overhead_pct", ""));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_FALSE(rows[0].metrics.count("overhead_pct"));
+  EXPECT_TRUE(rows[0].metrics.count("makespan_ms"));
 }
 
 }  // namespace
