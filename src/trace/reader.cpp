@@ -6,12 +6,14 @@
 /// render: a missing footer leaves has_live false, and a record torn at the
 /// end of the file (a binary frame or payload running past EOF, or a final
 /// JSONL line with no newline that does not parse) is dropped with it. A
-/// malformed record anywhere else, or a torn header, still throws.
+/// malformed record anywhere else, or a torn header, still throws. Both
+/// encodings stream through one bounded window over the file.
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 #include "trace/trace_detail.hpp"
@@ -21,8 +23,80 @@ namespace drhw {
 
 namespace {
 
+namespace td = trace_detail;
+
 constexpr std::size_t k_known_kinds =
     static_cast<std::size_t>(TraceEvent::Kind::run_end) + 1;
+/// The smallest binary event record (frame, fixed payload, tile count), so
+/// bytes / k_min_event_record bounds the event count of a file.
+constexpr std::size_t k_min_event_record = 3 + td::k_fixed_payload + 2;
+constexpr std::uint64_t k_window_bytes = std::uint64_t{1} << 20;
+
+/// A sliding window over the trace file: about 1 MiB, grown only to hold
+/// one record. A length read from the file is checked against the bytes
+/// left in it before the window grows, so a hostile length field reads as
+/// a torn tail or an error, never as a huge allocation.
+class Window {
+ public:
+  explicit Window(const std::string& path)
+      : in_(path, std::ios::binary), path_(path) {
+    std::error_code error;
+    size_ = std::filesystem::file_size(path, error);
+    if (error || !in_.is_open())
+      throw std::runtime_error("trace: cannot open '" + path + "'");
+    buf_.resize(static_cast<std::size_t>(std::min(size_, k_window_bytes)));
+  }
+
+  std::uint64_t offset() const { return base_ + begin_; }
+  std::uint64_t left() const { return size_ - offset(); }
+  const char* chars() const { return buf_.data() + begin_; }
+  const unsigned char* bytes() const {
+    return reinterpret_cast<const unsigned char*>(chars());
+  }
+  void skip(std::size_t n) { begin_ += n; }
+
+  /// Makes `n` bytes at the cursor resident; false when the file ends
+  /// first.
+  bool ensure(std::uint64_t n) {
+    if (end_ - begin_ >= n) return true;
+    if (n > left()) return false;
+    std::memmove(buf_.data(), chars(), end_ - begin_);
+    base_ += begin_;
+    end_ -= begin_;
+    begin_ = 0;
+    const std::uint64_t rest = size_ - base_;  // buffer start to EOF
+    if (buf_.size() < n)  // doubling: a long JSONL line grows in O(n)
+      buf_.resize(static_cast<std::size_t>(
+          std::min(rest, std::max<std::uint64_t>(n, 2 * buf_.size()))));
+    const std::uint64_t fill = std::min<std::uint64_t>(buf_.size(), rest);
+    in_.read(buf_.data() + end_, static_cast<std::streamsize>(fill - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+    if (end_ < n)
+      throw std::runtime_error("trace: read from '" + path_ + "' failed");
+    return true;
+  }
+
+  /// The next line without its newline; `terminated` is false when the
+  /// file ended first. False at the end of the file. The view lives until
+  /// the next call.
+  bool next_line(std::string_view& line, bool& terminated) {
+    std::size_t len = 0;
+    while (ensure(len + 1) && chars()[len] != '\n') ++len;
+    terminated = len < left();
+    line = std::string_view(chars(), len);
+    skip(terminated ? len + 1 : len);
+    return terminated || len > 0;
+  }
+
+ private:
+  std::ifstream in_;
+  std::string path_;
+  std::uint64_t size_ = 0;
+  std::uint64_t base_ = 0;  ///< file offset of buf_[0]
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  ///< cursor
+  std::size_t end_ = 0;    ///< end of the bytes read
+};
 
 /// Absent keys keep TraceEvent's defaults.
 TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
@@ -30,7 +104,7 @@ TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
   ev.kind = kind;
   if (const json::Value* t = obj.find("t"))
     ev.t = static_cast<time_us>(t->number);
-  trace_detail::visit_event_fields([&](const char* key, auto member) {
+  td::visit_event_fields([&](const char* key, auto member) {
     using Field = std::remove_reference_t<decltype(ev.*member)>;
     if (const json::Value* v = obj.find(key))
       ev.*member = static_cast<Field>(v->number);
@@ -41,19 +115,19 @@ TraceEvent event_from_json(const json::Value& obj, TraceEvent::Kind kind) {
   return ev;
 }
 
-TraceData read_jsonl(const std::string& text) {
+TraceData read_jsonl(Window& in) {
   TraceData trace;
   bool have_header = false;
   std::size_t line_no = 0;
-  for (std::size_t pos = 0; pos < text.size();) {
-    const std::size_t end = std::min(text.find('\n', pos), text.size());
-    const std::string line = text.substr(pos, end - pos);
-    const bool torn = end == text.size();  // no newline: the write stopped
-    pos = end + 1;
+  std::string_view view;
+  bool terminated = false;
+  for (std::uint64_t start = in.offset(); in.next_line(view, terminated);
+       start = in.offset()) {
     ++line_no;
-    if (line.empty()) continue;
+    if (view.empty()) continue;
+    const std::string line(view);
     if (!have_header) {
-      trace.header = trace_detail::header_from_json(line);
+      trace.header = td::header_from_json(line);
       have_header = true;
       continue;
     }
@@ -61,13 +135,13 @@ TraceData read_jsonl(const std::string& text) {
     try {
       obj = json::parse(line, "trace line " + std::to_string(line_no));
     } catch (const std::invalid_argument&) {
-      if (torn) break;  // a torn final record: keep the prefix
-      throw;
+      if (terminated) throw;
+      trace.torn_at = start;  // no newline: the write stopped mid-line
+      break;
     }
-    if (const json::Value* report = obj.find("report")) {
+    if (obj.find("report") != nullptr) {
       // Re-parse the member through the bit-exact report reader. The
       // footer is the last line; anything after it would be malformed.
-      (void)report;
       const std::size_t at = line.find("\"report\":");
       const std::string body =
           line.substr(at + 9, line.rfind('}') - (at + 9));
@@ -80,7 +154,7 @@ TraceData read_jsonl(const std::string& text) {
       throw std::invalid_argument("trace line " + std::to_string(line_no) +
                                   ": neither an event nor the footer");
     TraceEvent::Kind kind{};
-    if (!trace_detail::kind_from_string(name->text, kind))
+    if (!td::kind_from_string(name->text, kind))
       continue;  // an event kind from a newer writer
     trace.events.push_back(event_from_json(obj, kind));
   }
@@ -91,7 +165,6 @@ TraceData read_jsonl(const std::string& text) {
 
 TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
                              TraceEvent::Kind kind) {
-  namespace td = trace_detail;
   if (len < td::k_fixed_payload + 2)
     throw std::invalid_argument("trace: truncated binary event payload");
   TraceEvent ev;
@@ -108,45 +181,42 @@ TraceEvent event_from_binary(const unsigned char* p, std::size_t len,
   return ev;
 }
 
-TraceData read_binary(const std::string& text) {
-  namespace td = trace_detail;
-  const auto* data = reinterpret_cast<const unsigned char*>(text.data());
-  const std::size_t size = text.size();
-  std::size_t at = sizeof(td::k_magic);
-  if (size < at + 4)
+TraceData read_binary(Window& in) {
+  if (!in.ensure(4))
     throw std::invalid_argument("trace: binary header frame truncated");
-  const std::uint32_t header_len = td::get_u32(data + at);
-  at += 4;
-  if (size < at + header_len)
+  const std::uint32_t header_len = td::get_u32(in.bytes());
+  in.skip(4);
+  if (!in.ensure(header_len))
     throw std::invalid_argument("trace: binary header truncated");
   TraceData trace;
-  trace.header = td::header_from_json(
-      std::string(text, at, header_len));
-  at += header_len;
+  trace.header = td::header_from_json(std::string(in.chars(), header_len));
+  in.skip(header_len);
+  trace.events.reserve(
+      static_cast<std::size_t>(in.left() / k_min_event_record));
   // A frame or payload running past EOF is a record torn by a stopped
   // write: drop it and keep the prefix.
-  while (at < size) {
-    const std::uint8_t kind_byte = data[at];
-    ++at;
-    if (kind_byte == td::k_footer_kind) {
-      if (size < at + 4) break;
-      const std::uint32_t report_len = td::get_u32(data + at);
-      at += 4;
-      if (size < at + report_len) break;
-      trace.live = online_report_from_json(
-          std::string(text, at, report_len));
-      trace.has_live = true;
-      at += report_len;
-      continue;
+  while (in.left() > 0) {
+    const std::uint64_t start = in.offset();
+    in.ensure(1);
+    const std::uint8_t kind_byte = in.bytes()[0];
+    const bool footer = kind_byte == td::k_footer_kind;
+    const std::size_t frame = footer ? 5 : 3;  // kind, u32 or u16 length
+    std::uint32_t len = 0;
+    if (in.ensure(frame))
+      len = footer ? td::get_u32(in.bytes() + 1) : td::get_u16(in.bytes() + 1);
+    if (!in.ensure(frame + std::uint64_t{len})) {
+      trace.torn_at = start;
+      break;
     }
-    if (size < at + 2) break;
-    const std::uint16_t payload_len = td::get_u16(data + at);
-    at += 2;
-    if (size < at + payload_len) break;
-    if (kind_byte < k_known_kinds)
+    in.skip(frame);
+    if (footer) {
+      trace.live = online_report_from_json(std::string(in.chars(), len));
+      trace.has_live = true;
+    } else if (kind_byte < k_known_kinds) {
       trace.events.push_back(event_from_binary(
-          data + at, payload_len, static_cast<TraceEvent::Kind>(kind_byte)));
-    at += payload_len;  // unknown kinds: skip the frame
+          in.bytes(), len, static_cast<TraceEvent::Kind>(kind_byte)));
+    }  // unknown kinds: skip the frame
+    in.skip(len);
   }
   return trace;
 }
@@ -154,19 +224,13 @@ TraceData read_binary(const std::string& text) {
 }  // namespace
 
 TraceData read_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open())
-    throw std::runtime_error("trace: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad())
-    throw std::runtime_error("trace: read from '" + path + "' failed");
-  const std::string text = buffer.str();
-  if (text.size() >= sizeof(trace_detail::k_magic) &&
-      std::memcmp(text.data(), trace_detail::k_magic,
-                  sizeof(trace_detail::k_magic)) == 0)
-    return read_binary(text);
-  return read_jsonl(text);
+  Window in(path);
+  const bool binary =
+      in.ensure(sizeof(td::k_magic)) &&
+      std::memcmp(in.chars(), td::k_magic, sizeof(td::k_magic)) == 0;
+  if (!binary) return read_jsonl(in);
+  in.skip(sizeof(td::k_magic));
+  return read_binary(in);
 }
 
 }  // namespace drhw

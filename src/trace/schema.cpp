@@ -176,15 +176,18 @@ std::string event_to_json(const TraceEvent& ev) {
   return out.str();
 }
 
-std::string event_to_binary(const TraceEvent& ev) {
-  std::string payload(k_fixed_payload + 2 + 4 * ev.tiles.size(), '\0');
-  auto* at = reinterpret_cast<unsigned char*>(&payload[0]);
+void append_binary_event(std::string& out, const TraceEvent& ev) {
+  const std::size_t payload = k_fixed_payload + 2 + 4 * ev.tiles.size();
+  const std::size_t start = out.size();
+  out.resize(start + 3 + payload);
+  auto* at = reinterpret_cast<unsigned char*>(&out[start]);
+  at = put_field(at, static_cast<std::uint8_t>(ev.kind));
+  at = put_field(at, static_cast<std::uint16_t>(payload));
   at = put_field(at, ev.t);
   visit_event_fields(
       [&](const char*, auto member) { at = put_field(at, ev.*member); });
   at = put_field(at, static_cast<std::uint16_t>(ev.tiles.size()));
   for (const PhysTileId tile : ev.tiles) at = put_field(at, tile);
-  return payload;
 }
 
 }  // namespace trace_detail

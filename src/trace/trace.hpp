@@ -31,6 +31,9 @@
 /// per-tile (+ ISP) timeline — `drhw_sched trace render`.
 
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,11 +73,11 @@ struct TraceEvent {
     frag = 17,
     run_end = 18,
   };
-  Kind kind = Kind::arrival;
   time_us t = 0;              ///< event instant; run_end: the horizon
   std::int32_t job = -1;      ///< job; preempt: victim; remap/migration: owner
   std::int32_t subtask = -1;  ///< load_*/exec_*: subtask id
   std::int32_t prep = -1;     ///< arrival: preparation index
+  Kind kind = Kind::arrival;  ///< beside the 32-bit members: no padding hole
   std::int64_t config = -1;   ///< load_start/prefetch_*: configuration id
   std::int32_t unit = -1;     ///< port (load/prefetch/migration/checkpoint
                               ///< start) or execution unit (exec_start)
@@ -127,12 +130,14 @@ struct TraceData {
   std::vector<TraceEvent> events;
   OnlineReport live;      ///< footer: the report the run produced
   bool has_live = false;  ///< false on a truncated trace (no footer)
+  std::optional<std::uint64_t> torn_at;  ///< offset of a dropped torn record
 };
 
 /// Records a run to `path` while acting as its TraceSink: construct, run
 /// the simulation with OnlineSimOptions::trace pointing here, then call
-/// finish() with the returned report. Streaming — events are written as
-/// they happen, nothing is buffered past the header.
+/// finish() with the returned report. Streaming — events are encoded into
+/// one reused block, written in large chunks; a recorder destroyed without
+/// finish() writes what it holds, so the file reads as a footer-less prefix.
 class TraceRecorder final : public TraceSink {
  public:
   /// Throws std::runtime_error when `path` cannot be opened for writing.
@@ -189,20 +194,23 @@ class TraceRecorder final : public TraceSink {
  private:
   void record(const TraceEvent& ev);
   void flush_header();
+  void write_block();
 
   std::string path_;
   TraceFormat format_;
   TraceHeader header_;
   bool header_written_ = false;
   bool finished_ = false;
-  void* out_ = nullptr;  ///< std::ofstream, kept out of this header
+  std::string block_;  ///< encoded records not yet written
+  std::unique_ptr<std::ofstream> out_;
 };
 
 /// Reads a trace in either encoding (sniffs the binary magic). Throws
 /// std::invalid_argument on malformed input, std::runtime_error on I/O
 /// failure. A missing footer is not an error: has_live stays false. A
 /// record torn at the end of the file (the write stopped mid-record) is
-/// dropped and the prefix returned; a torn header still throws.
+/// dropped, torn_at names where it began, and the prefix is returned; a
+/// torn header still throws. Streams: memory is the event vector.
 TraceData read_trace(const std::string& path);
 
 /// Re-derives the OnlineReport from the event stream alone (the header

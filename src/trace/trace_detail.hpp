@@ -60,11 +60,6 @@ bool kind_from_string(const std::string& text, TraceEvent::Kind& out);
 // --- little-endian byte packing (shift-based: no aliasing, no
 // host-endianness dependence) ----------------------------------------------
 
-inline void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
 inline void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -114,8 +109,9 @@ TraceHeader header_from_json(const std::string& text);
 
 /// One event as a compact JSON object (default-valued fields omitted).
 std::string event_to_json(const TraceEvent& ev);
-/// Binary payload of one event (everything after the kind + length frame).
-std::string event_to_binary(const TraceEvent& ev);
+/// Appends one binary event record (u8 kind, u16 payload length, payload)
+/// to `out`; no allocation once `out` has the capacity.
+void append_binary_event(std::string& out, const TraceEvent& ev);
 
 /// Field-by-field comparison of two reports over the OnlineReport field
 /// list (report_json.cpp), doubles bitwise. One line per mismatch, naming

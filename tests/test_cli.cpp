@@ -131,6 +131,7 @@ TEST(Cli, GenworkCampaignTraceVerifyPipeline) {
   const CliResult info = run_cli("trace info " + trace_path);
   EXPECT_EQ(info.exit_code, 0) << info.output;
   EXPECT_NE(info.output.find("drhw-trace-v1"), std::string::npos);
+  EXPECT_NE(info.output.find("torn record: none"), std::string::npos);
 }
 
 TEST(Cli, TraceVerifyRejectsABadJobIdWithoutASignal) {
@@ -174,6 +175,9 @@ TEST(Cli, TraceInfoReadsATornTrace) {
     const CliResult info = run_cli("trace info " + torn);
     EXPECT_EQ(info.exit_code, 0) << format << "\n" << info.output;
     EXPECT_NE(info.output.find("live report: absent"), std::string::npos)
+        << info.output;
+    EXPECT_NE(info.output.find("torn record: dropped at byte "),
+              std::string::npos)
         << info.output;
   }
 }

@@ -1,7 +1,8 @@
 // Trace subsystem (src/trace): recorder round trips in both encodings,
 // replay verification against the live report (the subsystem's core
 // contract) and its power to catch a trace that misstates an input,
-// encoding equivalence, forward-compat and torn-tail reader behaviour,
+// encoding equivalence, forward-compat and torn-tail reader behaviour
+// (including hostile length fields and a recorder never finished),
 // replay's rejection of bad job ids, and renderer smoke checks. The
 // contended scenario deliberately turns on every accounting feature —
 // defragmentation, shared ISPs, deadlines, preemptive checkpointing — so
@@ -270,6 +271,7 @@ TEST(Trace, TornTracesReadTheirPrefixInBothEncodings) {
     const TracedRun run = record_run(path, format);
     const std::string text = slurp(path);
     const std::size_t header = header_end(text, format);
+    EXPECT_FALSE(run.trace.torn_at) << to_string(format);
     std::size_t last_events = 0;
     for (const double fraction : {0.2, 0.5, 0.77, 0.999}) {
       const auto cut = static_cast<std::size_t>(
@@ -289,12 +291,74 @@ TEST(Trace, TornTracesReadTheirPrefixInBothEncodings) {
       }
       expect_invalid([&] { verify_trace(torn); }, {"no recorded report"});
       EXPECT_FALSE(render_trace_ascii(torn).empty());
+      // The torn record began at torn_at: cut there, the same events read
+      // and nothing is torn.
+      ASSERT_TRUE(torn.torn_at) << to_string(format) << " @" << fraction;
+      EXPECT_GE(*torn.torn_at, header);
+      EXPECT_LT(*torn.torn_at, cut);
+      spit(torn_path, text.substr(0, *torn.torn_at));
+      const TraceData clean = read_trace(torn_path);
+      EXPECT_FALSE(clean.torn_at) << to_string(format) << " @" << fraction;
+      EXPECT_FALSE(clean.has_live);
+      ASSERT_EQ(clean.events.size(), torn.events.size());
+      for (std::size_t i = 0; i < clean.events.size(); i += 97)
+        EXPECT_EQ(clean.events[i].t, torn.events[i].t);
     }
     // A torn header still throws.
     spit(path + ".torn", text.substr(0, header / 2));
     EXPECT_THROW(read_trace(path + ".torn"), std::invalid_argument)
         << to_string(format);
   }
+}
+
+TEST(Trace, HostileLengthFieldsReadAsTruncation) {
+  const std::string path = testing::TempDir() + "/trace_hostile.bin";
+  const TracedRun run = record_run(path, TraceFormat::binary);
+  const std::string text = slurp(path);
+  // A header length of 0xFFFFFFFF: more than the file holds.
+  std::string bad = text;
+  bad.replace(8, 4, 4, '\xFF');
+  spit(path + ".bad", bad);
+  expect_invalid([&] { read_trace(path + ".bad"); },
+                 {"binary header truncated"});
+  // A footer report length of 0xFFFFFFFF: a torn tail, not an allocation.
+  const std::size_t footer =
+      text.size() - online_report_to_json(run.live).size() - 5;
+  ASSERT_EQ(static_cast<unsigned char>(text[footer]), 0xFFu);
+  bad = text;
+  bad.replace(footer + 1, 4, 4, '\xFF');
+  spit(path + ".bad", bad);
+  const TraceData torn = read_trace(path + ".bad");
+  EXPECT_FALSE(torn.has_live);
+  EXPECT_EQ(torn.torn_at.value_or(0), footer);
+  EXPECT_EQ(torn.events.size(), run.trace.events.size());
+}
+
+TEST(Trace, UnfinishedRecorderLeavesAFooterlessPrefix) {
+  for (const TraceFormat format : {TraceFormat::jsonl, TraceFormat::binary}) {
+    const std::string path =
+        testing::TempDir() + "/trace_unfinished." + to_string(format);
+    const TracedRun full = record_run(path, format);
+    {
+      const auto platform = virtex2_platform(4);
+      const auto workload = make_multimedia_workload(platform);
+      OnlineSimOptions options = contended_options(platform);
+      TraceRecorder recorder(path, format, options);
+      options.trace = &recorder;
+      run_online_simulation(options, multimedia_sampler(*workload, 0.8));
+    }  // destroyed without finish(), as when the run throws
+    const TraceData trace = read_trace(path);
+    EXPECT_FALSE(trace.has_live) << to_string(format);
+    EXPECT_FALSE(trace.torn_at) << to_string(format);
+    EXPECT_GT(trace.events.size(), 0u);
+    EXPECT_EQ(trace.events.size(), full.trace.events.size());
+  }
+}
+
+TEST(Trace, TraceEventHasNoPaddingHoles) {
+  // kind sits beside the 32-bit members; the event vector is the reader's
+  // memory floor.
+  EXPECT_LE(sizeof(TraceEvent), 120u);
 }
 
 TEST(Trace, MalformedRecordBeforeTheTailStillThrows) {

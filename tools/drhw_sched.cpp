@@ -721,6 +721,10 @@ int cmd_trace_info(const std::string& path) {
             << "events: " << trace.events.size() << "\n"
             << "live report: " << (trace.has_live ? "present" : "absent")
             << "\n";
+  if (trace.torn_at)
+    std::cout << "torn record: dropped at byte " << *trace.torn_at << "\n";
+  else
+    std::cout << "torn record: none\n";
   return 0;
 }
 
