@@ -39,12 +39,13 @@ void PoolOptions::validate() const {
 }
 
 TilePoolManager::TilePoolManager(int tiles, const PoolOptions& options)
-    : options_(options), store_(tiles) {
+    : options_(options),
+      store_(tiles),
+      held_(tiles),
+      reserved_(tiles),
+      migrating_(tiles) {
   options_.validate();
   const auto n = static_cast<std::size_t>(tiles);
-  held_.assign(n, 0);
-  reserved_.assign(n, 0);
-  migrating_.assign(n, 0);
   owner_.assign(n, -1);
   prefetch_config_.assign(n, k_no_config);
   prefetch_value_.assign(n, 0.0);
@@ -52,20 +53,15 @@ TilePoolManager::TilePoolManager(int tiles, const PoolOptions& options)
 
 // --- admission queue --------------------------------------------------------
 
-void TilePoolManager::enqueue(std::int32_t job, int needed, time_us now) {
+void TilePoolManager::enqueue(std::int32_t job, int needed, time_us now,
+                              long long urgency) {
   DRHW_CHECK_GE_MSG(job, 0, "queued instance needs a non-negative id");
   DRHW_CHECK_GE_MSG(needed, 0, "queued instance needs a negative tile count");
   DRHW_CHECK_LE_MSG(needed, tiles(),
                     "queued instance needs more tiles than the pool has");
   if (perf_ && queue_.size() == queue_.capacity()) perf_->note_alloc();
-  queue_.push_back(Waiting{job, needed, now, 0});
+  queue_.push_back(Waiting{job, needed, now, 0, urgency});
   ++queued_count_;
-}
-
-std::int32_t TilePoolManager::waiting_at(std::size_t i) const {
-  for (std::size_t p = head_; p < queue_.size(); ++p)
-    if (queue_[p].job >= 0 && i-- == 0) return queue_[p].job;
-  throw std::invalid_argument("queue position out of range");
 }
 
 std::int32_t TilePoolManager::queue_head() const {
@@ -83,6 +79,17 @@ std::size_t TilePoolManager::position_of(std::int32_t job) const {
 bool TilePoolManager::fits(int needed) const {
   return options_.contiguous ? largest_free_block() >= needed
                              : free_count() >= needed;
+}
+
+std::int32_t TilePoolManager::take_pick(std::size_t pick, time_us now) {
+  if (pick >= queue_.size()) return -1;
+  for (std::size_t i = head_; i < pick; ++i)
+    if (queue_[i].job >= 0) {
+      ++queue_[i].skips;
+      if (metrics_) metrics_->on_queue_skip(now);
+    }
+  last_pick_ = pick;
+  return queue_[pick].job;
 }
 
 std::int32_t TilePoolManager::select(time_us now) {
@@ -124,99 +131,72 @@ std::int32_t TilePoolManager::select(time_us now) {
       break;
     }
   }
-  if (pick >= queue_.size()) return -1;
-  for (std::size_t i = head_; i < pick; ++i)
-    if (queue_[i].job >= 0) {
-      ++queue_[i].skips;
-      if (metrics_) metrics_->on_queue_skip(now);
-    }
-  last_pick_ = pick;
-  return queue_[pick].job;
+  return take_pick(pick, now);
 }
 
-std::int32_t TilePoolManager::select_urgent(
-    time_us now, const std::function<long long(std::int32_t)>& urgency) {
+std::int32_t TilePoolManager::select_urgent(time_us now) {
   if (queued_count_ == 0) return -1;
   const std::size_t none = queue_.size();
   std::size_t pick = none;
-  long long best = 0;
   for (std::size_t i = head_; i < queue_.size(); ++i) {
     if (queue_[i].job < 0 || !fits(queue_[i].needed)) continue;
-    const long long u = urgency(queue_[i].job);
-    if (pick == none || u < best) {
-      pick = i;
-      best = u;
-    }
+    if (pick == none || queue_[i].urgency < queue_[pick].urgency) pick = i;
   }
   if (pick != none && pick != head_ && head().skips >= options_.max_bypass)
     pick = fits(head().needed) ? head_ : none;
-  if (pick >= queue_.size()) return -1;
-  for (std::size_t i = head_; i < pick; ++i)
-    if (queue_[i].job >= 0) {
-      ++queue_[i].skips;
-      if (metrics_) metrics_->on_queue_skip(now);
-    }
-  last_pick_ = pick;
-  return queue_[pick].job;
+  return take_pick(pick, now);
 }
 
-std::vector<PhysTileId> TilePoolManager::offer(
-    std::int32_t job, const std::vector<ConfigId>& wanted) const {
-  std::vector<PhysTileId> out;
-  offer_into(job, wanted, out);
-  return out;
-}
-
-void TilePoolManager::offer_into(std::int32_t job,
-                                 const std::vector<ConfigId>& wanted,
-                                 std::vector<PhysTileId>& out) const {
-  out.clear();
-  if (!options_.contiguous) {
-    for (int t = 0; t < tiles(); ++t)
-      if (tile_free(static_cast<std::size_t>(t))) out.push_back(t);
-    return;
-  }
+TileSet TilePoolManager::offer(std::int32_t job,
+                               const std::vector<ConfigId>& wanted) const {
+  const TileSet free = free_tiles();
+  if (!options_.contiguous) return free;
 
   const std::size_t pos = position_of(job);
   DRHW_CHECK_LT_MSG(pos, queue_.size(),
                     "offer() for a job that is not queued");
   const int needed = queue_[pos].needed;
-  if (needed == 0) return;
+  TileSet out(tiles());
+  if (needed == 0) return out;
 
   // Placement-aware block selection: among the free blocks of the job's
   // size, prefer the one with the most wanted configurations already
   // resident (reuse), then the least overlap with the defragmentation
   // window (so backfilled instances do not re-fragment the run the defrag
-  // pass is clearing), then the leftmost.
-  int best_start = -1, best_score = -1, best_overlap = 0;
-  for (int s = 0; s + needed <= tiles(); ++s) {
-    bool free_run = true;
-    int score = 0, overlap = 0;
-    for (int t = s; t < s + needed; ++t) {
-      const auto idx = static_cast<std::size_t>(t);
-      if (!tile_free(idx)) {
-        free_run = false;
-        break;
-      }
+  // pass is clearing), then the leftmost. Candidate windows are the
+  // needed-wide slices of each free run, scored by popcount.
+  TileSet resident_wanted(tiles());
+  if (!wanted.empty())
+    free.for_each([&](int t) {
       const ConfigId resident = store_.config_on(t);
       if (resident != k_no_config &&
           std::find(wanted.begin(), wanted.end(), resident) != wanted.end())
-        ++score;
-      if (defrag_window_ >= 0 && t >= defrag_window_ &&
-          t < defrag_window_ + defrag_window_size_)
-        ++overlap;
+        resident_wanted.set(t);
+    });
+  const int window_end = defrag_window_ + defrag_window_size_;
+  int best_start = -1, best_score = -1, best_overlap = 0;
+  for (int run = free.next(0); run >= 0;) {
+    const int run_end = free.next_absent(run);
+    for (int s = run; s + needed <= run_end; ++s) {
+      const int score = resident_wanted.count_in(s, s + needed);
+      const int overlap =
+          defrag_window_ < 0
+              ? 0
+              : std::max(0, std::min(s + needed, window_end) -
+                                std::max(s, defrag_window_));
+      if (best_start < 0 || score > best_score ||
+          (score == best_score && overlap < best_overlap)) {
+        best_start = s;
+        best_score = score;
+        best_overlap = overlap;
+      }
     }
-    if (!free_run) continue;
-    if (best_start < 0 || score > best_score ||
-        (score == best_score && overlap < best_overlap)) {
-      best_start = s;
-      best_score = score;
-      best_overlap = overlap;
-    }
+    run = free.next(run_end);
   }
   DRHW_CHECK_GE_MSG(best_start, 0,
                     "offer() called without a fitting contiguous block");
-  for (int t = best_start; t < best_start + needed; ++t) out.push_back(t);
+  out.set_range(best_start, best_start + needed);
+  return out;
 }
 
 void TilePoolManager::occupy(std::int32_t job,
@@ -224,10 +204,10 @@ void TilePoolManager::occupy(std::int32_t job,
                              time_us now) {
   touch(now);
   for (const PhysTileId t : tiles) {
-    const std::size_t idx = checked(t);
+    const int idx = checked(t);
     DRHW_CHECK_MSG(tile_free(idx), "occupying a tile that is not free");
-    held_[idx] = 1;
-    owner_[idx] = job;
+    held_.set(idx);
+    owner_[static_cast<std::size_t>(idx)] = job;
   }
   const std::size_t pos = position_of(job);
   DRHW_CHECK_LT_MSG(pos, queue_.size(),
@@ -253,21 +233,22 @@ void TilePoolManager::occupy(std::int32_t job,
 
 void TilePoolManager::release(std::int32_t job, time_us now) {
   touch(now);
-  for (std::size_t t = 0; t < held_.size(); ++t)
-    if (owner_[t] == job) {
-      held_[t] = 0;
-      owner_[t] = -1;
-    }
+  held_.for_each([&](int t) {
+    std::int32_t& owner = owner_[static_cast<std::size_t>(t)];
+    if (owner != job) return;
+    held_.reset(t);
+    owner = -1;
+  });
 }
 
 // --- backlog-prefetch reservations ------------------------------------------
 
 PhysTileId TilePoolManager::prefetch_victim(
-    const std::vector<char>& protected_tiles) const {
+    const TileSet& protected_tiles) const {
+  TileSet candidates = free_tiles();
+  candidates.subtract(protected_tiles);
   PhysTileId victim = k_no_phys_tile;
-  for (int p = 0; p < tiles(); ++p) {
-    const auto idx = static_cast<std::size_t>(p);
-    if (!tile_free(idx) || protected_tiles[idx]) continue;
+  for (int p = candidates.next(0); p >= 0; p = candidates.next(p + 1)) {
     if (store_.config_on(p) == k_no_config) return p;
     bool better = victim == k_no_phys_tile;
     if (!better) {
@@ -284,20 +265,21 @@ PhysTileId TilePoolManager::prefetch_victim(
 void TilePoolManager::reserve(PhysTileId tile, ConfigId config, double value,
                               time_us now) {
   touch(now);
-  const std::size_t idx = checked(tile);
+  const int idx = checked(tile);
   DRHW_CHECK_MSG(tile_free(idx), "reserving a tile that is not free");
-  reserved_[idx] = 1;
-  prefetch_config_[idx] = config;
-  prefetch_value_[idx] = value;
+  reserved_.set(idx);
+  prefetch_config_[static_cast<std::size_t>(idx)] = config;
+  prefetch_value_[static_cast<std::size_t>(idx)] = value;
 }
 
 ConfigId TilePoolManager::finish_prefetch(PhysTileId tile, time_us now) {
   touch(now);
-  const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(reserved_[idx], "prefetch completion on an unreserved tile");
+  const auto idx = static_cast<std::size_t>(checked(tile));
+  DRHW_CHECK_MSG(reserved_.test(tile),
+                 "prefetch completion on an unreserved tile");
   const ConfigId config = prefetch_config_[idx];
   store_.record_load(tile, config, now, prefetch_value_[idx]);
-  reserved_[idx] = 0;
+  reserved_.reset(tile);
   prefetch_config_[idx] = k_no_config;
   return config;
 }
@@ -305,36 +287,29 @@ ConfigId TilePoolManager::finish_prefetch(PhysTileId tile, time_us now) {
 // --- occupancy queries ------------------------------------------------------
 
 bool TilePoolManager::held(PhysTileId tile) const {
-  return held_[checked(tile)] != 0;
+  return held_.test(checked(tile));
 }
 
 bool TilePoolManager::reserved(PhysTileId tile) const {
-  return reserved_[checked(tile)] != 0;
+  return reserved_.test(checked(tile));
 }
 
 std::int32_t TilePoolManager::owner(PhysTileId tile) const {
-  return owner_[checked(tile)];
+  return owner_[static_cast<std::size_t>(checked(tile))];
 }
 
-int TilePoolManager::free_count() const {
-  int free = 0;
-  for (std::size_t t = 0; t < held_.size(); ++t) free += tile_free(t);
-  return free;
-}
-
-int TilePoolManager::largest_free_block() const {
-  int best = 0, run = 0;
-  for (std::size_t t = 0; t < held_.size(); ++t) {
-    run = tile_free(t) ? run + 1 : 0;
-    best = std::max(best, run);
-  }
-  return best;
+TileSet TilePoolManager::free_tiles() const {
+  TileSet free = held_;
+  free |= reserved_;
+  free |= migrating_;
+  return free.flip();
 }
 
 double TilePoolManager::fragmentation_pct() const {
-  const int free = free_count();
+  const TileSet free_set = free_tiles();
+  const int free = free_set.count();
   if (free == 0) return 0.0;
-  return 100.0 * (1.0 - static_cast<double>(largest_free_block()) /
+  return 100.0 * (1.0 - static_cast<double>(free_set.longest_run()) /
                             static_cast<double>(free));
 }
 
@@ -343,37 +318,12 @@ double TilePoolManager::fragmentation_pct() const {
 bool TilePoolManager::head_fragmentation_blocked() const {
   if (!options_.contiguous || queued_count_ == 0) return false;
   const int needed = head().needed;
-  return free_count() >= needed && largest_free_block() < needed;
-}
-
-TilePoolManager::WindowScan TilePoolManager::scan_window(
-    int start, int needed, const std::vector<char>& movable) const {
-  WindowScan scan;
-  for (int t = start; t < start + needed; ++t) {
-    const auto idx = static_cast<std::size_t>(t);
-    if (reserved_[idx]) {
-      scan.feasible = false;
-      return scan;
-    }
-    if (migrating_[idx]) {
-      // Already being copied out by an in-flight move: not a new blocker,
-      // not a veto — the window is clearing.
-      ++scan.migrating;
-      continue;
-    }
-    if (held_[idx]) {
-      if (!movable[idx]) {
-        scan.feasible = false;
-        return scan;
-      }
-      ++scan.blockers;
-    }
-  }
-  return scan;
+  const TileSet free = free_tiles();
+  return free.count() >= needed && free.longest_run() < needed;
 }
 
 std::optional<MigrationPlan> TilePoolManager::plan_defrag(
-    const std::vector<char>& movable) {
+    const TileSet& movable) {
   if (!options_.defrag || !head_fragmentation_blocked()) return std::nullopt;
   const Waiting& oldest = head();
   const int needed = oldest.needed;
@@ -382,45 +332,49 @@ std::optional<MigrationPlan> TilePoolManager::plan_defrag(
     defrag_window_ = -1;
   }
   defrag_window_size_ = needed;
+  // A window's blockers are its held tiles still to relocate. Tiles already
+  // being copied out by an in-flight move are neither blockers nor vetoes
+  // (the window is clearing); a reserved tile or an unmovable blocker
+  // vetoes the window.
+  TileSet blockers = held_;
+  blockers.subtract(migrating_);
+  TileSet stuck = blockers;
+  stuck.subtract(movable);
+  const auto feasible = [&](int start) {
+    return reserved_.count_in(start, start + needed) == 0 &&
+           stuck.count_in(start, start + needed) == 0;
+  };
   if (defrag_window_ >= 0) {
-    const WindowScan scan = scan_window(defrag_window_, needed, movable);
+    const int end = defrag_window_ + needed;
+    const bool clearable = feasible(defrag_window_);
+    const int left = blockers.count_in(defrag_window_, end);
     // Hold the window while moves out of it are still landing; drop it
     // when it was taken over, drained, or is no longer clearable.
-    if (scan.feasible && scan.blockers == 0 && scan.migrating > 0)
+    if (clearable && left == 0 && migrating_.count_in(defrag_window_, end) > 0)
       return std::nullopt;
-    if (!scan.feasible || scan.blockers == 0) defrag_window_ = -1;
+    if (!clearable || left == 0) defrag_window_ = -1;
   }
   if (defrag_window_ < 0) {
     int best = -1, best_blockers = tiles() + 1;
     for (int s = 0; s + needed <= tiles(); ++s) {
-      const WindowScan scan = scan_window(s, needed, movable);
-      if (scan.feasible && scan.blockers > 0 &&
-          scan.blockers < best_blockers) {
+      const int left = blockers.count_in(s, s + needed);
+      if (left > 0 && left < best_blockers && feasible(s)) {
         best = s;
-        best_blockers = scan.blockers;
+        best_blockers = left;
       }
     }
     if (best < 0) return std::nullopt;
     defrag_window_ = best;
   }
 
-  PhysTileId src = k_no_phys_tile;
-  for (int t = defrag_window_; t < defrag_window_ + needed; ++t)
-    if (held_[static_cast<std::size_t>(t)] &&
-        !migrating_[static_cast<std::size_t>(t)]) {
-      src = t;
-      break;
-    }
-  if (src == k_no_phys_tile) return std::nullopt;  // window already clear
-  PhysTileId dst = k_no_phys_tile;
-  for (int t = 0; t < tiles(); ++t) {
-    if (t >= defrag_window_ && t < defrag_window_ + needed) continue;
-    if (tile_free(static_cast<std::size_t>(t))) {
-      dst = t;
-      break;
-    }
-  }
-  if (dst == k_no_phys_tile) return std::nullopt;  // nowhere to move to
+  const int window_end = defrag_window_ + needed;
+  const PhysTileId src = blockers.next(defrag_window_);
+  if (src < 0 || src >= window_end)
+    return std::nullopt;  // window already clear
+  TileSet destinations = free_tiles();
+  destinations.reset_range(defrag_window_, window_end);
+  const PhysTileId dst = destinations.next(0);
+  if (dst < 0) return std::nullopt;  // nowhere to move to
 
   MigrationPlan plan;
   plan.src = src;
@@ -434,36 +388,33 @@ std::optional<MigrationPlan> TilePoolManager::plan_defrag(
 void TilePoolManager::begin_migration(const MigrationPlan& plan, time_us now) {
   touch(now);
   DRHW_CHECK_MSG(plan.needs_port(), "free remaps use apply_remap()");
-  const std::size_t src = checked(plan.src);
-  DRHW_CHECK(held_[src] && !migrating_[src]);
-  const std::size_t dst = checked(plan.dst);
-  DRHW_CHECK_MSG(!held_[dst] && !reserved_[dst] && !migrating_[dst],
-                 "migration destination is not free");
-  reserved_[dst] = 1;
-  migrating_[src] = 1;
+  const int src = checked(plan.src);
+  DRHW_CHECK(held_.test(src) && !migrating_.test(src));
+  const int dst = checked(plan.dst);
+  DRHW_CHECK_MSG(tile_free(dst), "migration destination is not free");
+  reserved_.set(dst);
+  migrating_.set(src);
   ++migrations_in_flight_;
 }
 
 bool TilePoolManager::finish_migration(const MigrationPlan& plan,
                                        time_us now) {
   touch(now);
-  const std::size_t src = checked(plan.src);
-  const std::size_t dst = checked(plan.dst);
-  DRHW_CHECK(migrating_[src] && reserved_[dst]);
-  reserved_[dst] = 0;
-  migrating_[src] = 0;
+  const int src = checked(plan.src);
+  const int dst = checked(plan.dst);
+  DRHW_CHECK(migrating_.test(src) && reserved_.test(dst));
+  reserved_.reset(dst);
+  migrating_.reset(src);
   --migrations_in_flight_;
   // The transfer only holds when the owner is still live on `src` and no
   // competing load overwrote the source mid-flight; otherwise the loaded
   // copy stays behind as an ordinary reusable cached configuration.
-  const bool transfer = held_[src] && owner_[src] == plan.owner &&
+  const bool transfer = held_.test(src) &&
+                        owner_[static_cast<std::size_t>(src)] == plan.owner &&
                         store_.config_on(plan.src) == plan.config;
   if (transfer) {
     store_.relocate(plan.src, plan.dst, now);
-    held_[dst] = 1;
-    owner_[dst] = plan.owner;
-    held_[src] = 0;
-    owner_[src] = -1;
+    move_holding(src, dst);
   } else {
     store_.record_load(plan.dst, plan.config, now, plan.value);
   }
@@ -474,46 +425,45 @@ bool TilePoolManager::finish_migration(const MigrationPlan& plan,
 void TilePoolManager::apply_remap(const MigrationPlan& plan, time_us now) {
   touch(now);
   DRHW_CHECK_MSG(!plan.needs_port(), "port migrations use begin/finish");
-  const std::size_t src = checked(plan.src);
-  const std::size_t dst = checked(plan.dst);
-  DRHW_CHECK(held_[src] && !migrating_[src] && owner_[src] == plan.owner);
-  DRHW_CHECK(!held_[dst] && !reserved_[dst] && !migrating_[dst]);
-  held_[dst] = 1;
-  owner_[dst] = plan.owner;
-  held_[src] = 0;
-  owner_[src] = -1;
+  const int src = checked(plan.src);
+  const int dst = checked(plan.dst);
+  DRHW_CHECK(held_.test(src) && !migrating_.test(src) &&
+             owner_[static_cast<std::size_t>(src)] == plan.owner);
+  DRHW_CHECK(tile_free(dst));
+  move_holding(src, dst);
   if (metrics_) metrics_->on_remap(now, plan.src, plan.dst, plan.owner);
 }
 
 // --- preemptive checkpointing -----------------------------------------------
 
 void TilePoolManager::begin_checkpoint(PhysTileId tile) {
-  const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(held_[idx] && !migrating_[idx] && !reserved_[idx],
+  const int idx = checked(tile);
+  DRHW_CHECK_MSG(held_.test(idx) && !migrating_.test(idx) &&
+                     !reserved_.test(idx),
                  "checkpointing a tile that is not quietly held");
-  migrating_[idx] = 1;
+  migrating_.set(idx);
   ++migrations_in_flight_;
 }
 
 void TilePoolManager::finish_checkpoint(PhysTileId tile, time_us now) {
   touch(now);
-  const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(held_[idx] && migrating_[idx],
+  const int idx = checked(tile);
+  DRHW_CHECK_MSG(held_.test(idx) && migrating_.test(idx),
                  "checkpoint completion on a tile that is not checkpointing");
-  migrating_[idx] = 0;
+  migrating_.reset(idx);
   --migrations_in_flight_;
   // Free with the resident configuration left cached — release() semantics,
   // per tile: the store keeps the config, so the victim's re-admission
   // finds it through the reuse module.
-  held_[idx] = 0;
-  owner_[idx] = -1;
+  held_.reset(idx);
+  owner_[static_cast<std::size_t>(idx)] = -1;
 }
 
 void TilePoolManager::abort_checkpoint(PhysTileId tile) {
-  const std::size_t idx = checked(tile);
-  DRHW_CHECK_MSG(held_[idx] && migrating_[idx],
+  const int idx = checked(tile);
+  DRHW_CHECK_MSG(held_.test(idx) && migrating_.test(idx),
                  "checkpoint abort on a tile that is not checkpointing");
-  migrating_[idx] = 0;
+  migrating_.reset(idx);
   --migrations_in_flight_;
 }
 
@@ -526,10 +476,17 @@ void TilePoolManager::touch(time_us now) {
     metrics_->on_frag_sample(now, fragmentation_pct());
 }
 
-std::size_t TilePoolManager::checked(PhysTileId tile) const {
-  if (tile < 0 || static_cast<std::size_t>(tile) >= held_.size())
+void TilePoolManager::move_holding(int src, int dst) {
+  held_.set(dst);
+  owner_[static_cast<std::size_t>(dst)] = owner_[static_cast<std::size_t>(src)];
+  held_.reset(src);
+  owner_[static_cast<std::size_t>(src)] = -1;
+}
+
+int TilePoolManager::checked(PhysTileId tile) const {
+  if (tile < 0 || tile >= tiles())
     throw std::invalid_argument("physical tile id out of range");
-  return static_cast<std::size_t>(tile);
+  return tile;
 }
 
 }  // namespace drhw

@@ -43,9 +43,12 @@
 /// it *what* to do (select / offer / plan_defrag) and tells it what
 /// happened (occupy / release / reserve / finish_*). That keeps every
 /// policy decision in one place and the simulator a pure event dispatcher.
+///
+/// Held, reserved and migrating tiles are TileSets (util/tile_set.hpp);
+/// the free set is the complement of their union, so every occupancy query
+/// and candidate scan is a word operation over the pool.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,6 +56,7 @@
 #include "reuse/config_store.hpp"
 #include "util/ids.hpp"
 #include "util/perf_stats.hpp"
+#include "util/tile_set.hpp"
 #include "util/time.hpp"
 
 namespace drhw {
@@ -109,7 +113,7 @@ class TilePoolManager {
  public:
   TilePoolManager(int tiles, const PoolOptions& options);
 
-  int tiles() const { return static_cast<int>(held_.size()); }
+  int tiles() const { return held_.size(); }
   const PoolOptions& options() const { return options_; }
   ConfigStore& store() { return store_; }
   const ConfigStore& store() const { return store_; }
@@ -134,12 +138,20 @@ class TilePoolManager {
   // free), and the storage is recycled across the run.
 
   /// Registers an arrived, not-yet-admitted instance needing `needed` tiles.
-  void enqueue(std::int32_t job, int needed, time_us now);
+  /// `urgency` is its select_urgent() key (lower goes first); it stays fixed
+  /// while the instance waits.
+  void enqueue(std::int32_t job, int needed, time_us now,
+               long long urgency = 0);
   bool queue_empty() const { return queued_count_ == 0; }
   std::size_t queued() const { return queued_count_; }
-  /// Queued job at queue position `i` (0 = oldest still waiting).
-  std::int32_t waiting_at(std::size_t i) const;
   std::int32_t queue_head() const;
+  /// Calls `visit(job)` for the live queue entries in arrival order until
+  /// it returns false: one pass, tombstones skipped.
+  template <typename Visit>
+  void for_each_waiting(Visit&& visit) const {
+    for (std::size_t p = head_; p < queue_.size(); ++p)
+      if (queue_[p].job >= 0 && !visit(queue_[p].job)) return;
+  }
 
   /// Next admissible queued job under the admission policy, or -1. Reports
   /// a queue skip for every older instance the pick overtakes; the
@@ -147,28 +159,21 @@ class TilePoolManager {
   std::int32_t select(time_us now);
 
   /// Deadline-aware admission (the online kernel's EDF/LLF path): among
-  /// every queued instance that currently fits, picks the one minimising
-  /// `urgency(job)`, ties broken by arrival order. The configured
+  /// every queued instance that currently fits, picks the one with the
+  /// lowest enqueue() urgency, ties broken by arrival order. The configured
   /// `max_bypass` starvation bound still protects the queue head: once the
   /// head has been overtaken that many times, nothing else is admitted
   /// until the head fits. Reports queue skips like select();
   /// same offer() + occupy() follow-up contract. Scans the whole backlog
   /// (urgency is not arrival-monotone), so it is O(queue) per admission.
-  std::int32_t select_urgent(
-      time_us now, const std::function<long long(std::int32_t)>& urgency);
+  std::int32_t select_urgent(time_us now);
 
-  /// Tiles offered to the binder for `job`, ascending. Non-contiguous
-  /// pools offer every free tile (the PR 2 view). Contiguous pools offer
-  /// the best free block of the job's size: most `wanted` configurations
-  /// already resident, least overlap with the active defragmentation
-  /// window, leftmost.
-  std::vector<PhysTileId> offer(std::int32_t job,
-                                const std::vector<ConfigId>& wanted) const;
-
-  /// offer() into caller-owned storage (cleared first) — the allocation-
-  /// free admission path of the online kernel.
-  void offer_into(std::int32_t job, const std::vector<ConfigId>& wanted,
-                  std::vector<PhysTileId>& out) const;
+  /// Tiles offered to the binder for `job`. Non-contiguous pools offer
+  /// every free tile (the PR 2 view). Contiguous pools offer the best free
+  /// block of the job's size: most `wanted` configurations already
+  /// resident, least overlap with the active defragmentation window,
+  /// leftmost.
+  TileSet offer(std::int32_t job, const std::vector<ConfigId>& wanted) const;
 
   /// Marks `tiles` held by `job` and removes it from the queue.
   void occupy(std::int32_t job, const std::vector<PhysTileId>& tiles,
@@ -182,7 +187,7 @@ class TilePoolManager {
 
   /// Victim among free, unreserved, unprotected tiles: empty tiles first,
   /// then lowest replacement value, then least recently used (PR 2 order).
-  PhysTileId prefetch_victim(const std::vector<char>& protected_tiles) const;
+  PhysTileId prefetch_victim(const TileSet& protected_tiles) const;
   void reserve(PhysTileId tile, ConfigId config, double value, time_us now);
   /// Prefetch load completed: records the configuration on the tile, lifts
   /// the reservation, returns the configuration that was loading.
@@ -194,16 +199,19 @@ class TilePoolManager {
   bool reserved(PhysTileId tile) const;
   std::int32_t owner(PhysTileId tile) const;
   bool migrating(PhysTileId tile) const {
-    return migrating_[checked(tile)] != 0;
+    return migrating_.test(checked(tile));
   }
   bool migration_in_flight() const { return migrations_in_flight_ > 0; }
   /// Concurrent defragmentation relocations through the port(s). Each
   /// spare reconfiguration port may carry its own migration; the kernel
   /// starts one per free port while plan_defrag() keeps producing plans.
   int migrations_in_flight() const { return migrations_in_flight_; }
-  int free_count() const;
+  /// Tiles free for every allocation purpose: neither held, reserved nor
+  /// migrating (see tile_free()).
+  TileSet free_tiles() const;
+  int free_count() const { return free_tiles().count(); }
   /// Longest run of adjacent free tiles.
-  int largest_free_block() const;
+  int largest_free_block() const { return free_tiles().longest_run(); }
   /// Snapshot external fragmentation, see file comment. 0 when nothing is
   /// free.
   double fragmentation_pct() const;
@@ -217,14 +225,14 @@ class TilePoolManager {
 
   /// Plans the next relocation towards un-blocking the queue head, or
   /// nullopt (defrag off, head not fragmentation-blocked, or no clearable
-  /// window). `movable[t]` marks held tiles the caller knows are safe to
+  /// window). `movable` holds the held tiles the caller knows are safe to
   /// relocate (no running execution, no load in flight). The chosen target
   /// window is sticky per blocked head so successive moves converge
   /// instead of oscillating. Migrations already in flight do not block
   /// further planning: their sources count as "being cleared" (neither a
   /// blocker nor a veto) and their reserved destinations are excluded, so
   /// every spare port can carry its own relocation out of the same window.
-  std::optional<MigrationPlan> plan_defrag(const std::vector<char>& movable);
+  std::optional<MigrationPlan> plan_defrag(const TileSet& movable);
 
   /// Starts a port-charged migration: `dst` becomes reserved, `src` is
   /// flagged migrating (executions on it must stall until completion).
@@ -269,9 +277,13 @@ class TilePoolManager {
     int needed = 0;
     time_us arrival = 0;
     int skips = 0;  ///< times a younger instance was admitted past this one
+    long long urgency = 0;  ///< select_urgent() key
   };
 
   bool fits(int needed) const;
+  /// Common tail of select() and select_urgent(): reports the skips of the
+  /// pick at queue position `pick` (queue_.size() = none) and returns it.
+  std::int32_t take_pick(std::size_t pick, time_us now);
   /// Oldest live queue entry; queued_count_ must be > 0.
   const Waiting& head() const { return queue_[head_]; }
   /// Position of `job` in queue_, preferring the remembered select() pick.
@@ -280,24 +292,19 @@ class TilePoolManager {
   /// even after their owner retires mid-flight: admitting someone onto a
   /// tile that is being copied out would gate their executions on a
   /// migration that will never wake them.
-  bool tile_free(std::size_t idx) const {
-    return !held_[idx] && !reserved_[idx] && !migrating_[idx];
+  bool tile_free(int idx) const {
+    return !held_.test(idx) && !reserved_.test(idx) && !migrating_.test(idx);
   }
-  /// One defragmentation window's state under the current occupancy.
-  struct WindowScan {
-    int blockers = 0;    ///< movable held tiles still to relocate
-    int migrating = 0;   ///< sources already being copied out
-    bool feasible = true;  ///< false: reserved or unmovable tile inside
-  };
-  WindowScan scan_window(int start, int needed,
-                         const std::vector<char>& movable) const;
-  std::size_t checked(PhysTileId tile) const;
+  /// Hands `src`'s holding (owner included) over to `dst`.
+  void move_holding(int src, int dst);
+  int checked(PhysTileId tile) const;
   /// Samples the fragmentation that held up to `now` into the metrics.
   void touch(time_us now);
 
   PoolOptions options_;
   ConfigStore store_;
-  std::vector<char> held_, reserved_;
+  TileSet held_, reserved_;
+  TileSet migrating_;  ///< source of an in-flight move or checkpoint
   std::vector<std::int32_t> owner_;
   std::vector<ConfigId> prefetch_config_;
   std::vector<double> prefetch_value_;
@@ -308,7 +315,6 @@ class TilePoolManager {
   PerfCounters* perf_ = nullptr;
   ReportAccumulator* metrics_ = nullptr;
 
-  std::vector<char> migrating_;  ///< per-tile: source of an in-flight move
   int migrations_in_flight_ = 0;
   int defrag_window_ = -1;       ///< sticky target window start
   int defrag_window_size_ = 0;   ///< its extent (the planned-for head's need)

@@ -5,11 +5,15 @@
 /// currently holds, when it was last touched, and how valuable it is to the
 /// replacement policy. This is the state the reuse and replacement modules
 /// (paper Figure 2, refs [6,7]) operate on across task instances.
+///
+/// Stored as parallel per-tile arrays, so the residency scans (find, holds,
+/// the TileSet-restricted find) walk one contiguous ConfigId array.
 
 #include <optional>
 #include <vector>
 
 #include "util/ids.hpp"
+#include "util/tile_set.hpp"
 #include "util/time.hpp"
 
 namespace drhw {
@@ -20,13 +24,27 @@ class ConfigStore {
   /// All tiles start empty.
   explicit ConfigStore(int tiles);
 
-  int tiles() const { return static_cast<int>(tiles_.size()); }
+  int tiles() const { return static_cast<int>(configs_.size()); }
 
   /// Configuration currently on `tile` (k_no_config when empty).
-  ConfigId config_on(PhysTileId tile) const;
+  ConfigId config_on(PhysTileId tile) const { return configs_[checked(tile)]; }
 
-  /// Finds a tile holding `config`, if any.
-  std::optional<PhysTileId> find(ConfigId config) const;
+  /// Finds the lowest tile holding `config`, if any.
+  std::optional<PhysTileId> find(ConfigId config) const {
+    if (config == k_no_config) return std::nullopt;
+    for (std::size_t t = 0; t < configs_.size(); ++t)
+      if (configs_[t] == config) return static_cast<PhysTileId>(t);
+    return std::nullopt;
+  }
+
+  /// Finds the lowest tile of `among` holding `config`, if any.
+  std::optional<PhysTileId> find(ConfigId config, const TileSet& among) const {
+    if (config == k_no_config) return std::nullopt;
+    for (std::size_t t = 0; t < configs_.size(); ++t)
+      if (configs_[t] == config && among.test(static_cast<int>(t)))
+        return static_cast<PhysTileId>(t);
+    return std::nullopt;
+  }
 
   bool holds(ConfigId config) const { return find(config).has_value(); }
 
@@ -51,20 +69,11 @@ class ConfigStore {
   /// Forgets every resident configuration (e.g. between experiments).
   void clear();
 
-  /// Re-initialises to `tiles` empty tiles, keeping the storage capacity.
-  /// The online kernel rebuilds its per-admission binding view through
-  /// this instead of constructing a fresh store (allocation-free once the
-  /// high-water tile count is reached).
-  void reset(int tiles);
-
  private:
-  struct Tile {
-    ConfigId config = k_no_config;
-    time_us last_used = 0;
-    double value = 0.0;
-  };
   std::size_t checked(PhysTileId tile) const;
-  std::vector<Tile> tiles_;
+  std::vector<ConfigId> configs_;  ///< per tile; k_no_config when empty
+  std::vector<time_us> last_used_;
+  std::vector<double> values_;
 };
 
 }  // namespace drhw

@@ -12,15 +12,17 @@ Binding bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                    const std::vector<time_us>& values, Rng& rng,
                    const NextUseRank& next_use) {
   Binding binding;
-  bind_tiles(graph, placement, store, policy, values, rng, next_use, binding);
+  bind_tiles(graph, placement, store, TileSet(store.tiles(), /*all=*/true),
+             policy, values, rng, next_use, binding);
   return binding;
 }
 
 void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
-                const ConfigStore& store, ReplacementPolicy policy,
-                const std::vector<time_us>& values, Rng& rng,
-                const NextUseRank& next_use, Binding& binding) {
-  if (placement.tiles_occupied() > store.tiles())
+                const ConfigStore& store, const TileSet& allowed,
+                ReplacementPolicy policy, const std::vector<time_us>& values,
+                Rng& rng, const NextUseRank& next_use, Binding& binding) {
+  DRHW_CHECK_EQ(allowed.size(), store.tiles());
+  if (placement.tiles_occupied() > allowed.count())
     throw std::invalid_argument("placement needs more tiles than available");
   DRHW_CHECK(values.size() == graph.size());
 
@@ -29,20 +31,22 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                               k_no_phys_tile);
   binding.resident.assign(graph.size(), false);
 
-  std::vector<char> claimed(static_cast<std::size_t>(store.tiles()), 0);
+  // Allowed tiles not bound yet.
+  TileSet open = allowed;
 
   // Phase 1 — reuse matching: a virtual tile whose first subtask's
-  // configuration is resident binds to that physical tile. ICN-aware
-  // placements may contain empty virtual tiles (a mesh position no subtask
-  // was assigned to); they execute nothing and stay unbound.
+  // configuration is resident binds to that physical tile — the lowest
+  // allowed one holding it, and only while that one is unclaimed.
+  // ICN-aware placements may contain empty virtual tiles (a mesh position
+  // no subtask was assigned to); they execute nothing and stay unbound.
   for (int v = 0; v < placement.tiles_used; ++v) {
     const auto& seq = placement.tile_sequence[static_cast<std::size_t>(v)];
     if (seq.empty()) continue;
     const SubtaskId first = seq.front();
     const ConfigId config = graph.subtask(first).config;
-    if (const auto tile = store.find(config);
-        tile && !claimed[static_cast<std::size_t>(*tile)]) {
-      claimed[static_cast<std::size_t>(*tile)] = 1;
+    if (const auto tile = store.find(config, allowed);
+        tile && open.test(*tile)) {
+      open.reset(*tile);
       binding.phys_of_tile[static_cast<std::size_t>(v)] = *tile;
       binding.resident[static_cast<std::size_t>(first)] = true;
       ++binding.reused_subtasks;
@@ -59,31 +63,28 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
 
     PhysTileId victim = k_no_phys_tile;
     // Empty tiles first (no information is lost by using them).
-    for (int t = 0; t < store.tiles(); ++t) {
-      const auto idx = static_cast<std::size_t>(t);
-      if (claimed[idx] || store.config_on(t) != k_no_config) continue;
-      victim = t;
-      break;
-    }
+    for (int t = open.next(0); t >= 0; t = open.next(t + 1))
+      if (store.config_on(t) == k_no_config) {
+        victim = t;
+        break;
+      }
     if (victim == k_no_phys_tile) {
       switch (policy) {
         case ReplacementPolicy::lru: {
           time_us oldest = std::numeric_limits<time_us>::max();
-          for (int t = 0; t < store.tiles(); ++t) {
-            if (claimed[static_cast<std::size_t>(t)]) continue;
+          open.for_each([&](int t) {
             if (store.last_used(t) < oldest) {
               oldest = store.last_used(t);
               victim = t;
             }
-          }
+          });
           break;
         }
         case ReplacementPolicy::weight_aware:
         case ReplacementPolicy::critical_first: {
           double lowest = std::numeric_limits<double>::max();
           time_us oldest = std::numeric_limits<time_us>::max();
-          for (int t = 0; t < store.tiles(); ++t) {
-            if (claimed[static_cast<std::size_t>(t)]) continue;
+          open.for_each([&](int t) {
             const double value = store.value_of(t);
             const time_us used = store.last_used(t);
             if (value < lowest || (value == lowest && used < oldest)) {
@@ -91,15 +92,14 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
               oldest = used;
               victim = t;
             }
-          }
+          });
           break;
         }
         case ReplacementPolicy::random_tile: {
-          std::vector<PhysTileId> unclaimed;
-          for (int t = 0; t < store.tiles(); ++t)
-            if (!claimed[static_cast<std::size_t>(t)]) unclaimed.push_back(t);
-          DRHW_CHECK(!unclaimed.empty());
-          victim = unclaimed[rng.pick_index(unclaimed)];
+          const int unclaimed = open.count();
+          DRHW_CHECK(unclaimed > 0);
+          victim = open.nth(static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(unclaimed))));
           break;
         }
         case ReplacementPolicy::oracle: {
@@ -107,8 +107,7 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                          "oracle policy needs next-use information");
           long farthest = -1;
           time_us oldest = std::numeric_limits<time_us>::max();
-          for (int t = 0; t < store.tiles(); ++t) {
-            if (claimed[static_cast<std::size_t>(t)]) continue;
+          open.for_each([&](int t) {
             const long rank = next_use(store.config_on(t));
             const time_us used = store.last_used(t);
             if (rank > farthest || (rank == farthest && used < oldest)) {
@@ -116,13 +115,13 @@ void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
               oldest = used;
               victim = t;
             }
-          }
+          });
           break;
         }
       }
     }
     DRHW_CHECK_MSG(victim != k_no_phys_tile, "no victim tile available");
-    claimed[static_cast<std::size_t>(victim)] = 1;
+    open.reset(victim);
     slot = victim;
   }
 }

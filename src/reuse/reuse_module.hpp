@@ -21,6 +21,7 @@
 #include "reuse/config_store.hpp"
 #include "schedule/placement.hpp"
 #include "util/rng.hpp"
+#include "util/tile_set.hpp"
 
 namespace drhw {
 
@@ -69,14 +70,19 @@ Binding bind_tiles(const SubtaskGraph& graph, const Placement& placement,
                    const std::vector<time_us>& values, Rng& rng,
                    const NextUseRank& next_use = nullptr);
 
-/// bind_tiles() into caller-owned storage: `out`'s vectors are re-assigned
-/// (keeping their capacity), so a caller binding many instances — the
-/// online kernel admits one per arrival — reuses one Binding as scratch
-/// instead of allocating three vectors per admission.
+/// bind_tiles() restricted to the `allowed` tiles of the store (the online
+/// kernel passes the tiles its pool offered), into caller-owned storage:
+/// `out`'s vectors are re-assigned (keeping their capacity), so a caller
+/// binding many instances — the online kernel admits one per arrival —
+/// reuses one Binding as scratch instead of allocating per admission.
+/// Tiles outside `allowed` are neither reused nor evicted; the result is
+/// the one binding onto a store holding only the allowed tiles, in
+/// ascending order, would give. The all-tiles overload above passes every
+/// tile.
 void bind_tiles(const SubtaskGraph& graph, const Placement& placement,
-                const ConfigStore& store, ReplacementPolicy policy,
-                const std::vector<time_us>& values, Rng& rng,
-                const NextUseRank& next_use, Binding& out);
+                const ConfigStore& store, const TileSet& allowed,
+                ReplacementPolicy policy, const std::vector<time_us>& values,
+                Rng& rng, const NextUseRank& next_use, Binding& out);
 
 /// The configurations bind_tiles() can reuse for this placement: the
 /// first-subtask configuration of every occupied virtual tile (only the

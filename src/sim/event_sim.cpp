@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "policy/prefetch_policy.hpp"
@@ -110,8 +111,7 @@ class OnlineSimulation {
       : options_(options),
         policy_(PolicyRegistry::instance().create(options.policy)),
         pool_(options.platform.tiles, options.pool),
-        bind_rng_(options.seed ^ 0x5DEECE66DULL),
-        view_store_(1) {
+        bind_rng_(options.seed ^ 0x5DEECE66DULL) {
     PhaseTimer setup_timer(perf_.setup_ns);
     options_.platform.validate();
     options_.arrivals.validate();
@@ -225,13 +225,23 @@ class OnlineSimulation {
     ports_ = PortSet(options_.platform.reconfig_ports);
     if (options_.shared_isps) isps_ = PortSet(options_.platform.isps);
     live_.reserve(tiles + 1);
-    protected_scratch_.assign(tiles, 0);
-    movable_scratch_.assign(tiles, 0);
+    movable_scratch_ = TileSet(options_.platform.tiles);
     // Dense in-flight load counts per configuration (index config + 1, so
     // k_no_config maps to slot 0) and per-source-tile migration state —
     // the former unordered_maps of the PR 2..5 kernel, now O(1) lookups
     // with zero steady-state allocation.
     inflight_.assign(static_cast<std::size_t>(max_config + 2), 0);
+    // Per preparation, the configurations its graph uses (same indexing),
+    // so testing a resident configuration against the queue head is one
+    // lookup instead of a scan over the head's subtasks.
+    prep_uses_config_.assign(preps_.size() * inflight_.size(), 0);
+    for (std::size_t p = 0; p < preps_.size(); ++p) {
+      const SubtaskGraph& graph = *preps_[p]->graph;
+      for (std::size_t s = 0; s < graph.size(); ++s) {
+        const ConfigId config = graph.subtask(static_cast<SubtaskId>(s)).config;
+        prep_uses_config_[uses_index(static_cast<std::int32_t>(p), config)] = 1;
+      }
+    }
     migration_plans_.assign(tiles, MigrationPlan{});
     migration_active_.assign(tiles, 0);
 
@@ -462,16 +472,31 @@ class OnlineSimulation {
 
   // -- admission ---------------------------------------------------------
 
+  /// True when admission orders the backlog by urgency instead of arrival.
+  bool urgent_admission() const {
+    return deadlines_enabled_ &&
+           admission_urgency_ != AdmissionUrgency::arrival;
+  }
+
   /// Admission ordering key under the policy's urgency hook: the absolute
   /// deadline (EDF), or deadline minus remaining ideal work (LLF — the
   /// shared `- now` term of the laxity drops out at a common decision
   /// instant). Nothing of a queued instance has executed, so its remaining
-  /// work is the full ideal makespan.
+  /// work is the full ideal makespan, and the key is fixed while it waits:
+  /// it is computed once, at enqueue. 0 when admission is not urgent.
   long long admission_urgency_of(std::int32_t j) const {
+    if (!urgent_admission()) return 0;
     const time_us deadline = job_deadline_[static_cast<std::size_t>(j)];
     if (admission_urgency_ == AdmissionUrgency::laxity)
       return deadline - prep_of(j).ideal;
     return deadline;
+  }
+
+  /// Puts `j` into the pool's admission backlog (arrival or preemption).
+  void enqueue(std::int32_t j, time_us t) {
+    const int needed = prep_of(j).placement.tiles_occupied();
+    pool_.enqueue(j, needed, t, admission_urgency_of(j));
+    ++queued_hist_[PolicyContext::size_bucket(needed)];
   }
 
   /// Absolute deadline and criticality as the report folds them:
@@ -485,15 +510,10 @@ class OnlineSimulation {
   }
 
   void try_admit(time_us t) {
-    const bool urgent =
-        deadlines_enabled_ && admission_urgency_ != AdmissionUrgency::arrival;
+    const bool urgent = urgent_admission();
     for (;;) {
       const std::int32_t index =
-          urgent ? pool_.select_urgent(
-                       t, [this](std::int32_t j) {
-                         return admission_urgency_of(j);
-                       })
-                 : pool_.select(t);
+          urgent ? pool_.select_urgent(t) : pool_.select(t);
       if (index < 0) return;
       admit(index, t);
     }
@@ -528,42 +548,29 @@ class OnlineSimulation {
     wanted_scratch_.clear();
     if (options_.pool.contiguous && policy_->uses_reuse())
       first_subtask_configs_into(graph, placement, wanted_scratch_);
-    pool_.offer_into(index, wanted_scratch_, free_tiles_scratch_);
-    const std::vector<PhysTileId>& free_tiles = free_tiles_scratch_;
+    const TileSet offered = pool_.offer(index, wanted_scratch_);
 
-    const ConfigStore& store = pool_.store();
     const std::vector<bool>* resident = nullptr;
     if (policy_->uses_reuse()) {
-      view_store_.reset(static_cast<int>(free_tiles.size()));
-      for (std::size_t i = 0; i < free_tiles.size(); ++i) {
-        const PhysTileId p = free_tiles[i];
-        if (store.config_on(p) != k_no_config)
-          view_store_.record_load(static_cast<PhysTileId>(i),
-                                  store.config_on(p), store.last_used(p),
-                                  store.value_of(p));
-      }
       NextUseRank oracle;
       if (options_.replacement == ReplacementPolicy::oracle)
         oracle = make_oracle(static_cast<std::size_t>(index));
-      bind_tiles(graph, placement, view_store_, options_.replacement,
+      bind_tiles(graph, placement, pool_.store(), offered, options_.replacement,
                  values_of(index), bind_rng_, oracle, binding_scratch_);
-      slot.phys_of_tile.assign(binding_scratch_.phys_of_tile.size(),
-                               k_no_phys_tile);
-      for (std::size_t v = 0; v < binding_scratch_.phys_of_tile.size(); ++v)
-        if (binding_scratch_.phys_of_tile[v] != k_no_phys_tile)
-          slot.phys_of_tile[v] = free_tiles[static_cast<std::size_t>(
-              binding_scratch_.phys_of_tile[v])];
+      slot.phys_of_tile.assign(binding_scratch_.phys_of_tile.begin(),
+                               binding_scratch_.phys_of_tile.end());
       resident = &binding_scratch_.resident;
       slot.reused = binding_scratch_.reused_subtasks;
     } else {
+      // No reuse: virtual tiles take the offered tiles in ascending order.
       slot.phys_of_tile.assign(static_cast<std::size_t>(placement.tiles_used),
                                k_no_phys_tile);
-      std::size_t next_free = 0;
+      PhysTileId next_free = -1;
       for (int v = 0; v < placement.tiles_used; ++v) {
         if (placement.tile_sequence[static_cast<std::size_t>(v)].empty())
           continue;
-        slot.phys_of_tile[static_cast<std::size_t>(v)] =
-            free_tiles[next_free++];
+        next_free = offered.next(next_free + 1);
+        slot.phys_of_tile[static_cast<std::size_t>(v)] = next_free;
       }
       resident_scratch_.assign(graph.size(), false);
       resident = &resident_scratch_;
@@ -626,13 +633,13 @@ class OnlineSimulation {
     for (int b = 0; b < 4; ++b)
       context.queued_size_histogram[b] = queued_hist_[b];
     if (deadlines_enabled_) {
-      for (std::size_t q = 0; q < pool_.queued(); ++q) {
-        const time_us d = job_deadline_[static_cast<std::size_t>(
-            pool_.waiting_at(q))];
+      pool_.for_each_waiting([&](std::int32_t queued) {
+        const time_us d = job_deadline_[static_cast<std::size_t>(queued)];
         if (context.nearest_queued_deadline == k_no_time ||
             d < context.nearest_queued_deadline)
           context.nearest_queued_deadline = d;
-      }
+        return true;
+      });
       for (const std::int32_t other : live_) {
         const time_us d = job_deadline_[static_cast<std::size_t>(other)];
         if (context.nearest_live_deadline == k_no_time ||
@@ -872,34 +879,44 @@ class OnlineSimulation {
     return candidate_cache_[static_cast<std::size_t>(prep_idx)];
   }
 
+  /// Free tiles holding a configuration the queue head wants: evicting one
+  /// would trade a hidden load for an exposed one.
+  TileSet head_protected_tiles() const {
+    const std::int32_t head =
+        job_prep_[static_cast<std::size_t>(pool_.queue_head())];
+    const ConfigStore& store = pool_.store();
+    const TileSet free = pool_.free_tiles();
+    TileSet protect(free.size());
+    free.for_each([&](int tile) {
+      const ConfigId resident = store.config_on(tile);
+      if (resident != k_no_config &&
+          prep_uses_config_[uses_index(head, resident)])
+        protect.set(tile);
+    });
+    return protect;
+  }
+
+  /// Index of (preparation, configuration) in prep_uses_config_.
+  std::size_t uses_index(std::int32_t prep, ConfigId config) const {
+    return static_cast<std::size_t>(prep) * inflight_.size() +
+           static_cast<std::size_t>(config + 1);
+  }
+
   /// Prefetches one configuration for a queued (arrived, unadmitted)
   /// instance onto a free tile. Returns true if a load was started.
   bool start_backlog_prefetch(std::size_t port, time_us t) {
     if (pool_.queue_empty())
       return false;  // empty backlog: the common idle-port case, O(1)
-    // Configurations the queue's head wants must not be evicted from free
-    // tiles — that would trade a hidden load for an exposed one.
-    // protected_scratch_ is a member: no allocation on the event path.
-    std::fill(protected_scratch_.begin(), protected_scratch_.end(), 0);
-    {
-      const SubtaskGraph& head = *prep_of(pool_.queue_head()).graph;
-      const ConfigStore& store = pool_.store();
-      for (std::size_t t2 = 0; t2 < protected_scratch_.size(); ++t2) {
-        const ConfigId resident =
-            store.config_on(static_cast<PhysTileId>(t2));
-        if (resident == k_no_config) continue;
-        for (std::size_t s = 0; s < head.size(); ++s)
-          if (head.subtask(static_cast<SubtaskId>(s)).config == resident) {
-            protected_scratch_[t2] = 1;
-            break;
-          }
-      }
-    }
-    const std::size_t lookahead = std::min(
-        pool_.queued(),
-        static_cast<std::size_t>(std::max(options_.intertask_lookahead, 0)));
-    for (std::size_t q = 0; q < lookahead; ++q) {
-      const std::int32_t queued = pool_.waiting_at(q);
+    if (!pool_.free_tiles().any()) return false;  // no tile to load onto
+    const auto lookahead =
+        static_cast<std::size_t>(std::max(options_.intertask_lookahead, 0));
+    std::size_t visited = 0;
+    bool started = false;
+    // Built only once a candidate needs a victim; the store cannot change
+    // before then, so it equals a set built up front.
+    std::optional<TileSet> protect;
+    pool_.for_each_waiting([&](std::int32_t queued) {
+      if (visited++ == lookahead) return false;
       const PreparedScenario& prep = prep_of(queued);
       for (const SubtaskId s :
            cached_candidates(job_prep_[static_cast<std::size_t>(queued)])) {
@@ -907,7 +924,8 @@ class OnlineSimulation {
         if (config == k_no_config || pool_.store().holds(config) ||
             config_in_flight(config))
           continue;
-        const PhysTileId victim = pool_.prefetch_victim(protected_scratch_);
+        if (!protect) protect = head_protected_tiles();
+        const PhysTileId victim = pool_.prefetch_victim(*protect);
         if (victim == k_no_phys_tile) return false;  // pool exhausted
         const double value = static_cast<double>(
             values_of(queued)[static_cast<std::size_t>(s)]);
@@ -918,16 +936,18 @@ class OnlineSimulation {
         acc_.on_prefetch_start(t, queued, config, port, duration, victim);
         events_.push(t + duration, k_ev_load_done, k_prefetch_job,
                      static_cast<SubtaskId>(victim));
-        return true;
+        started = true;
+        return false;
       }
-    }
-    return false;
+      return true;
+    });
+    return started;
   }
 
   /// Held tiles that are safe to relocate right now: the owner is live but
   /// the tile neither executes nor receives a load at this instant.
-  void build_movable(std::vector<char>& movable) const {
-    std::fill(movable.begin(), movable.end(), 0);
+  void build_movable(TileSet& movable) const {
+    movable.clear();
     for (const std::int32_t j : live_) {
       const InstanceSlot& slot = slot_of(j);
       const Placement& placement = prep_of(j).placement;
@@ -944,7 +964,7 @@ class OnlineSimulation {
             break;
           }
         }
-        if (!busy) movable[static_cast<std::size_t>(p)] = 1;
+        if (!busy) movable.set(p);
       }
     }
   }
@@ -972,7 +992,7 @@ class OnlineSimulation {
         // configuration-less tile), so it stays movable for the
         // replanning below — otherwise it would falsely veto every
         // window containing it as held-but-unmovable.
-        movable_scratch_[static_cast<std::size_t>(plan->dst)] = 1;
+        movable_scratch_.set(plan->dst);
         if (!pool_.head_fragmentation_blocked()) {
           try_admit(t);
           return true;
@@ -1099,9 +1119,7 @@ class OnlineSimulation {
     live_.erase(std::find(live_.begin(), live_.end(), victim));
     arena_.release(slot_id);
     job_slot_[static_cast<std::size_t>(victim)] = k_slot_queued;
-    const int needed = prep_of(victim).placement.tiles_occupied();
-    pool_.enqueue(victim, needed, t);
-    ++queued_hist_[PolicyContext::size_bucket(needed)];
+    enqueue(victim, t);  // same deadline, so the same urgency key
   }
 
   void try_port(time_us t) {
@@ -1155,9 +1173,7 @@ class OnlineSimulation {
                   job_prep_[static_cast<std::size_t>(j)])];
     acc_.on_arrival(t, j, job_prep_[static_cast<std::size_t>(j)],
                     deadline_of(j), crit_of(j));
-    const int needed = prep_of(j).placement.tiles_occupied();
-    pool_.enqueue(j, needed, t);
-    ++queued_hist_[PolicyContext::size_bucket(needed)];
+    enqueue(j, t);
     try_admit(t);
     if (preempt_enabled_ &&
         job_slot_[static_cast<std::size_t>(j)] == k_slot_queued &&
@@ -1347,9 +1363,6 @@ class OnlineSimulation {
   std::unique_ptr<PrefetchPolicy> policy_;  ///< the scheduling strategy
   TilePoolManager pool_;  ///< tile occupancy, admission queue, defrag state
   Rng bind_rng_;
-  /// Per-admission binding view over the offered free tiles; reset() per
-  /// admit instead of constructed (allocation-free at steady state).
-  ConfigStore view_store_;
 
   // The arrival stream in SoA form: per job one int32 into preps_, the
   // arrival time, and the arena slot id (k_slot_queued before admission,
@@ -1379,10 +1392,8 @@ class OnlineSimulation {
   };
   std::vector<IspWaiter> isp_waiting_;
   long isp_seq_ = 0;
-  std::vector<char> protected_scratch_;  ///< backlog-prefetch scratch
-  std::vector<char> movable_scratch_;    ///< defrag-planning scratch
+  TileSet movable_scratch_;  ///< defrag-planning scratch
   std::vector<PhysTileId> occupied_scratch_;   ///< admission scratch
-  std::vector<PhysTileId> free_tiles_scratch_; ///< offer_into() target
   std::vector<ConfigId> wanted_scratch_;       ///< reusable-config scratch
   std::vector<bool> resident_scratch_;  ///< non-reuse policies: all false
   Binding binding_scratch_;             ///< bind_tiles() target
@@ -1392,6 +1403,8 @@ class OnlineSimulation {
   std::vector<MigrationPlan> migration_plans_;
   std::vector<char> migration_active_;
   std::vector<int> inflight_;  ///< loads in flight, indexed config + 1
+  /// 1 where a preparation's graph uses a configuration (uses_index()).
+  std::vector<char> prep_uses_config_;
 
   // Per-preparation caches (indexed like preps_), built in setup_arenas().
   std::vector<const std::vector<time_us>*> values_cache_;

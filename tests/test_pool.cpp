@@ -154,10 +154,9 @@ TEST(TilePool, ContiguousAdmissionNeedsARunNotJustACount) {
   pool.release(2, 2);
   EXPECT_EQ(pool.largest_free_block(), 4);
   EXPECT_EQ(pool.select(2), 3);
-  const auto offer = pool.offer(3, {});
-  ASSERT_EQ(offer.size(), 3u);
-  for (std::size_t i = 1; i < offer.size(); ++i)
-    EXPECT_EQ(offer[i], offer[i - 1] + 1) << "offer must be contiguous";
+  const TileSet offer = pool.offer(3, {});
+  ASSERT_EQ(offer.count(), 3);
+  EXPECT_EQ(offer.longest_run(), 3) << "offer must be contiguous";
 }
 
 TEST(TilePool, ContiguousOfferPrefersBlocksWithWantedConfigs) {
@@ -167,18 +166,18 @@ TEST(TilePool, ContiguousOfferPrefersBlocksWithWantedConfigs) {
   force_occupy(pool, 1, {2, 3}, 0);
   pool.store().record_load(4, 77, ms(1), 1.0);
   pool.enqueue(2, 2, 2);
-  const auto offer = pool.offer(2, {77});
-  ASSERT_EQ(offer.size(), 2u);
-  EXPECT_EQ(offer[0], 4);
-  EXPECT_EQ(offer[1], 5);
+  const TileSet offer = pool.offer(2, {77});
+  ASSERT_EQ(offer.count(), 2);
+  EXPECT_TRUE(offer.test(4));
+  EXPECT_TRUE(offer.test(5));
   // Without the wanted config the leftmost block wins.
-  const auto plain = pool.offer(2, {});
-  EXPECT_EQ(plain[0], 0);
+  const TileSet plain = pool.offer(2, {});
+  EXPECT_EQ(plain.next(0), 0);
 }
 
 TEST(TilePool, PrefetchVictimPrefersEmptyThenLowValueThenLru) {
   TilePoolManager pool(4, PoolOptions{});
-  const std::vector<char> none(4, 0);
+  const TileSet none(4);
   pool.store().record_load(0, 1, ms(1), 5.0);
   pool.store().record_load(1, 2, ms(2), 1.0);
   // Tile 2 and 3 empty -> first empty wins.
@@ -187,11 +186,11 @@ TEST(TilePool, PrefetchVictimPrefersEmptyThenLowValueThenLru) {
   pool.store().record_load(3, 4, ms(4), 9.0);
   // No empties: lowest value (tile 1).
   EXPECT_EQ(pool.prefetch_victim(none), 1);
-  std::vector<char> protect(4, 0);
-  protect[1] = 1;
+  TileSet protect(4);
+  protect.set(1);
   // Value ties (2 vs 3) break by least recently used.
   EXPECT_EQ(pool.prefetch_victim(protect), 0);
-  protect[0] = 1;
+  protect.set(0);
   EXPECT_EQ(pool.prefetch_victim(protect), 2);
 }
 
@@ -218,7 +217,7 @@ TEST(TilePool, DefragPlansAMigrationThatOpensTheNeededRun) {
   pool.store().record_load(4, 11, ms(1), 1.0);
   pool.enqueue(2, 3, 2);
   ASSERT_TRUE(pool.head_fragmentation_blocked());
-  const std::vector<char> movable(6, 1);
+  const TileSet movable(6, /*all=*/true);
   const auto plan = pool.plan_defrag(movable);
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->needs_port());
@@ -247,7 +246,7 @@ TEST(TilePool, DefragRemapsEmptyHeldTilesForFree) {
   pool.set_accumulator(&metrics);
   force_occupy(pool, 1, {1, 4}, 0);  // held but never loaded -> empty
   pool.enqueue(2, 3, 1);
-  const std::vector<char> movable(6, 1);
+  const TileSet movable(6, /*all=*/true);
   const auto plan = pool.plan_defrag(movable);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(plan->needs_port());  // nothing to copy
@@ -264,7 +263,7 @@ TEST(TilePool, DefragAbortsTransferWhenTheSourceChangedMidFlight) {
   pool.store().record_load(1, 10, ms(1), 1.0);
   pool.store().record_load(4, 11, ms(1), 1.0);
   pool.enqueue(2, 3, 2);
-  const std::vector<char> movable(6, 1);
+  const TileSet movable(6, /*all=*/true);
   const auto plan = pool.plan_defrag(movable);
   ASSERT_TRUE(plan.has_value());
   pool.begin_migration(*plan, ms(2));
@@ -285,7 +284,7 @@ TEST(TilePool, MigrationSourceIsNotFreeEvenAfterOwnerRetires) {
   force_occupy(pool, 1, {1}, 0);
   pool.store().record_load(1, 10, ms(1), 1.0);
   pool.enqueue(2, 3, 1);  // fragmentation-blocked head (free {0, 2, 3})
-  const std::vector<char> movable(4, 1);
+  const TileSet movable(4, /*all=*/true);
   const auto plan = pool.plan_defrag(movable);
   ASSERT_TRUE(plan.has_value());
   pool.begin_migration(*plan, ms(2));
@@ -320,7 +319,7 @@ TEST(TilePool, TwoMigrationsRunConcurrentlyWithIndependentCommits) {
   // both moves to be in flight without starving the head's tile budget.
   pool.enqueue(2, 6, 2);
   ASSERT_TRUE(pool.head_fragmentation_blocked());
-  const std::vector<char> movable(12, 1);
+  const TileSet movable(12, /*all=*/true);
 
   const auto first = pool.plan_defrag(movable);
   ASSERT_TRUE(first.has_value());
@@ -364,7 +363,7 @@ TEST(TilePool, ConcurrentMigrationsAbortIndependently) {
   pool.store().record_load(8, 12, ms(1), 1.0);
   pool.store().record_load(11, 13, ms(1), 1.0);
   pool.enqueue(2, 6, 2);
-  const std::vector<char> movable(12, 1);
+  const TileSet movable(12, /*all=*/true);
   const auto first = pool.plan_defrag(movable);
   ASSERT_TRUE(first.has_value());
   pool.begin_migration(*first, ms(2));
@@ -456,16 +455,13 @@ TEST(TilePool, SelectUrgentPicksTheMostUrgentFittingInstance) {
   ReportAccumulator metrics;
   pool.set_accumulator(&metrics);
   force_occupy(pool, 1, {0, 1, 2}, 0);
-  pool.enqueue(10, 1, 1);  // urgency 30
-  pool.enqueue(11, 1, 2);  // urgency 10 (most urgent)
-  pool.enqueue(12, 3, 3);  // urgency 5 but does not fit
-  const auto urgency = [](std::int32_t job) -> long long {
-    return job == 10 ? 30 : job == 11 ? 10 : 5;
-  };
-  EXPECT_EQ(pool.select_urgent(3, urgency), 11);
+  pool.enqueue(10, 1, 1, /*urgency=*/30);
+  pool.enqueue(11, 1, 2, /*urgency=*/10);  // most urgent
+  pool.enqueue(12, 3, 3, /*urgency=*/5);   // but does not fit
+  EXPECT_EQ(pool.select_urgent(3), 11);
   pool.occupy(11, {3}, 3);
   EXPECT_EQ(metrics.queue_skips(), 1);  // overtook job 10
-  EXPECT_EQ(pool.select_urgent(4, urgency), -1);  // nothing fits
+  EXPECT_EQ(pool.select_urgent(4), -1);  // nothing fits
 }
 
 TEST(TilePool, SelectUrgentHonoursTheStarvationBound) {
@@ -473,19 +469,16 @@ TEST(TilePool, SelectUrgentHonoursTheStarvationBound) {
   options.max_bypass = 2;
   TilePoolManager pool(4, options);
   force_occupy(pool, 1, {0, 1, 2}, 0);
-  pool.enqueue(10, 1, 1);  // head, least urgent
-  const auto urgency = [](std::int32_t job) -> long long {
-    return job == 10 ? 100 : job;
-  };
+  pool.enqueue(10, 1, 1, /*urgency=*/100);  // head, least urgent
   for (std::int32_t job = 20; job <= 21; ++job) {
-    pool.enqueue(job, 1, job);
-    ASSERT_EQ(pool.select_urgent(job, urgency), job);
+    pool.enqueue(job, 1, job, /*urgency=*/job);
+    ASSERT_EQ(pool.select_urgent(job), job);
     pool.occupy(job, {3}, job);
     pool.release(job, job);
   }
   // The head has been bypassed max_bypass times: now only it may go.
-  pool.enqueue(22, 1, 22);
-  EXPECT_EQ(pool.select_urgent(23, urgency), 10);
+  pool.enqueue(22, 1, 22, /*urgency=*/22);
+  EXPECT_EQ(pool.select_urgent(23), 10);
 }
 
 }  // namespace
