@@ -46,7 +46,10 @@ void BM_EvaluatorNoLoads(benchmark::State& state) {
         evaluate(f.graph, f.placement, f.platform, none).makespan);
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_EvaluatorNoLoads)->RangeMultiplier(2)->Range(14, 448)->Complexity();
+BENCHMARK(BM_EvaluatorNoLoads)
+    ->RangeMultiplier(2)
+    ->Range(14, 448)
+    ->Complexity();
 
 void BM_ListPrefetch(benchmark::State& state) {
   Fixture f(static_cast<int>(state.range(0)));

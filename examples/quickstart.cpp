@@ -82,7 +82,8 @@ int main() {
 
   // --- 7. And if the critical subtask is resident: zero overhead --------
   resident[static_cast<std::size_t>(s1)] = true;
-  const auto warm = hybrid_runtime(graph, placement, platform, design, resident);
+  const auto warm =
+      hybrid_runtime(graph, placement, platform, design, resident);
   std::cout << "with ex1 reused as well: " << fmt_ms(warm.total_makespan)
             << " ms — equal to the ideal makespan; the tail of the port is\n"
                "idle and would prefetch the next task's initialization "

@@ -299,8 +299,8 @@ class Simulation {
     const auto& seq =
         tile != k_no_tile
             ? placement_.tile_sequence[static_cast<std::size_t>(tile)]
-            : placement_
-                  .isp_sequence[static_cast<std::size_t>(placement_.isp_of[idx])];
+            : placement_.isp_sequence[static_cast<std::size_t>(
+                  placement_.isp_of[idx])];
     const auto pos = static_cast<std::size_t>(placement_.position_of[idx]);
     if (pos + 1 < seq.size()) mark_arrival(seq[pos + 1], t);
     if (tile != k_no_tile)

@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -41,8 +42,10 @@ std::shared_ptr<const SyntheticWorkload> make_synthetic_workload(
   return workload;
 }
 
-/// Everything prepare_scenario() reads: platform shape + design options.
-std::string prepare_key(const Scenario& scenario) {
+}  // namespace
+
+WorkloadKey workload_key(const Scenario& scenario) {
+  // Everything prepare_scenario() reads: platform shape + design options.
   const PlatformConfig& p = scenario.sim.platform;
   std::ostringstream key;
   key << p.tiles << "/" << p.reconfig_latency << "/" << p.reconfig_ports
@@ -52,26 +55,48 @@ std::string prepare_key(const Scenario& scenario) {
       << static_cast<int>(scenario.design.scheduler) << "/"
       << scenario.design.bnb_load_threshold << "/"
       << scenario.design.comm_aware_placement;
-  return key.str();
+  WorkloadKind family = scenario.workload;
+  switch (scenario.workload) {
+    case WorkloadKind::multimedia:
+      for (const std::string& task : scenario.task_filter) key << "/" << task;
+      break;
+    case WorkloadKind::pocket_gl:
+    case WorkloadKind::pocket_gl_frames:
+      family = WorkloadKind::pocket_gl;
+      break;
+    case WorkloadKind::synthetic: {
+      const SyntheticParams& g = scenario.synthetic;
+      key << "/" << g.tasks << "/" << g.graph_seed << "/" << g.graph.subtasks
+          << "/" << g.graph.min_layer_width << "/" << g.graph.max_layer_width
+          << "/" << g.graph.min_exec << "/" << g.graph.max_exec << "/"
+          << g.graph.edge_density << "/" << g.graph.isp_fraction;
+      break;
+    }
+    case WorkloadKind::file:
+      key << "/" << scenario.workload_file;
+      break;
+  }
+  return {family, key.str()};
 }
-
-}  // namespace
 
 template <typename T, typename Build>
 std::shared_ptr<const T> WorkloadCache::lookup(FutureMap<T>& cache,
-                                               const std::string& key,
+                                               WorkloadKind family,
+                                               const Scenario& scenario,
                                                Build build) {
+  WorkloadKey key = workload_key(scenario);
+  DRHW_CHECK_MSG(key.family == family, scenario.name);
   std::promise<std::shared_ptr<const T>> promise;
   std::shared_future<std::shared_ptr<const T>> future;
   bool builder = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cache.find(key);
+    const auto it = cache.find(key.key);
     if (it != cache.end()) {
       future = it->second;
     } else {
       future = promise.get_future().share();
-      cache.emplace(key, future);
+      cache.emplace(std::move(key.key), future);
       builder = true;
     }
   }
@@ -87,9 +112,7 @@ std::shared_ptr<const T> WorkloadCache::lookup(FutureMap<T>& cache,
 
 std::shared_ptr<const MultimediaWorkload> WorkloadCache::multimedia(
     const Scenario& scenario) {
-  std::string key = prepare_key(scenario);
-  for (const std::string& task : scenario.task_filter) key += "/" + task;
-  return lookup(multimedia_, key, [scenario] {
+  return lookup(multimedia_, WorkloadKind::multimedia, scenario, [scenario] {
     return std::shared_ptr<const MultimediaWorkload>(
         make_multimedia_workload(scenario.sim.platform, scenario.design,
                                  scenario.task_filter));
@@ -98,7 +121,7 @@ std::shared_ptr<const MultimediaWorkload> WorkloadCache::multimedia(
 
 std::shared_ptr<const PocketGlWorkload> WorkloadCache::pocket_gl(
     const Scenario& scenario) {
-  return lookup(pocket_gl_, prepare_key(scenario), [scenario] {
+  return lookup(pocket_gl_, WorkloadKind::pocket_gl, scenario, [scenario] {
     return std::shared_ptr<const PocketGlWorkload>(
         make_pocket_gl_workload(scenario.sim.platform, scenario.design));
   });
@@ -106,21 +129,13 @@ std::shared_ptr<const PocketGlWorkload> WorkloadCache::pocket_gl(
 
 std::shared_ptr<const SyntheticWorkload> WorkloadCache::synthetic(
     const Scenario& scenario) {
-  std::ostringstream key;
-  const SyntheticParams& p = scenario.synthetic;
-  key << prepare_key(scenario) << "/" << p.tasks << "/" << p.graph_seed << "/"
-      << p.graph.subtasks << "/" << p.graph.min_layer_width << "/"
-      << p.graph.max_layer_width << "/" << p.graph.min_exec << "/"
-      << p.graph.max_exec << "/" << p.graph.edge_density << "/"
-      << p.graph.isp_fraction;
-  return lookup(synthetic_, key.str(),
+  return lookup(synthetic_, WorkloadKind::synthetic, scenario,
                 [scenario] { return make_synthetic_workload(scenario); });
 }
 
 std::shared_ptr<const FileWorkload> WorkloadCache::file(
     const Scenario& scenario) {
-  const std::string key = prepare_key(scenario) + "/" + scenario.workload_file;
-  return lookup(file_, key, [scenario] {
+  return lookup(file_, WorkloadKind::file, scenario, [scenario] {
     return std::shared_ptr<const FileWorkload>(build_file_workload(
         load_workload_file(scenario.workload_file), scenario.sim.platform,
         scenario.design));
@@ -324,6 +339,19 @@ ScenarioResult run_scenario(const Scenario& scenario, bool record_wall_time,
   return run_scenario_cached(scenario, record_wall_time, local);
 }
 
+std::vector<std::size_t> dispatch_order(
+    const std::vector<Scenario>& scenarios) {
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> repeats;
+  std::set<WorkloadKey> seen;
+  for (std::size_t i = 0; i < scenarios.size(); ++i)
+    if (scenarios[i].mode != ScenarioMode::sched_cost)
+      (seen.insert(workload_key(scenarios[i])).second ? order : repeats)
+          .push_back(i);
+  order.insert(order.end(), repeats.begin(), repeats.end());
+  return order;
+}
+
 CampaignRunner::CampaignRunner(CampaignOptions options)
     : options_(std::move(options)) {}
 
@@ -341,12 +369,11 @@ std::vector<ScenarioResult> CampaignRunner::run(
   // sched_cost scenarios are wall-clock microbenchmarks; running them
   // while other scenarios compete for cores would corrupt their timings,
   // so they execute serially after the parallel phase.
-  std::vector<std::size_t> parallel_indices;
+  const std::vector<std::size_t> parallel_indices = dispatch_order(scenarios);
   std::vector<std::size_t> serial_indices;
   for (std::size_t i = 0; i < scenarios.size(); ++i)
-    (scenarios[i].mode == ScenarioMode::sched_cost ? serial_indices
-                                                   : parallel_indices)
-        .push_back(i);
+    if (scenarios[i].mode == ScenarioMode::sched_cost)
+      serial_indices.push_back(i);
 
   std::atomic<std::size_t> completed{0};
   std::mutex callback_mutex;

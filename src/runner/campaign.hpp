@@ -29,25 +29,42 @@ struct SyntheticWorkload {
   std::vector<PreparedScenario> prepared;
 };
 
+/// The WorkloadCache entry a scenario prepares from: the entry family
+/// (pocket_gl_frames shares pocket_gl's; only the sampler differs) and a
+/// key over every field preparation reads (platform shape, design options,
+/// task filter / generator parameters / workload file), not iterations,
+/// seeds, policy or arrivals.
+struct WorkloadKey {
+  WorkloadKind family = WorkloadKind::multimedia;
+  std::string key;
+
+  bool operator==(const WorkloadKey& other) const {
+    return family == other.family && key == other.key;
+  }
+  bool operator<(const WorkloadKey& other) const {
+    return family != other.family ? family < other.family : key < other.key;
+  }
+};
+
+WorkloadKey workload_key(const Scenario& scenario);
+
 /// Memoises design-time workload preparation across scenarios: the five
 /// approaches of a Figure 6/7 grid point share one prepared workload
 /// instead of redoing the B&B and hybrid design flow. Thread-safe; each
 /// workload is built exactly once even under concurrent lookups, and a
-/// build failure propagates to every scenario that needs it. Keys cover
-/// every field preparation depends on (platform shape, design options,
-/// task filter / generator parameters).
+/// build failure propagates to every scenario that needs it. Entries are
+/// keyed by workload_key(); looking a scenario up under another family
+/// throws InternalError.
 class WorkloadCache {
  public:
   std::shared_ptr<const MultimediaWorkload> multimedia(
       const Scenario& scenario);
-  /// Shared by WorkloadKind::pocket_gl and pocket_gl_frames (only the
-  /// sampler differs).
+  /// Shared by WorkloadKind::pocket_gl and pocket_gl_frames.
   std::shared_ptr<const PocketGlWorkload> pocket_gl(const Scenario& scenario);
   std::shared_ptr<const SyntheticWorkload> synthetic(
       const Scenario& scenario);
-  /// WorkloadKind::file: parses + builds scenario.workload_file. Keyed on
-  /// the path and the platform/design fields, so a grid of approaches over
-  /// one file shares a single build.
+  /// WorkloadKind::file: parses + builds scenario.workload_file, so a grid
+  /// of approaches over one file shares a single build.
   std::shared_ptr<const FileWorkload> file(const Scenario& scenario);
 
  private:
@@ -56,8 +73,8 @@ class WorkloadCache {
       std::map<std::string, std::shared_future<std::shared_ptr<const T>>>;
 
   template <typename T, typename Build>
-  std::shared_ptr<const T> lookup(FutureMap<T>& cache, const std::string& key,
-                                  Build build);
+  std::shared_ptr<const T> lookup(FutureMap<T>& cache, WorkloadKind family,
+                                  const Scenario& scenario, Build build);
 
   std::mutex mutex_;
   FutureMap<MultimediaWorkload> multimedia_;
@@ -128,7 +145,10 @@ struct ScenarioResult {
   /// Mean cost of the hybrid run-time phase in microseconds (sched_cost
   /// mode only).
   double hybrid_sched_us = 0.0;
-  /// Wall-clock execution time of this scenario in milliseconds.
+  /// Wall-clock execution time of this scenario in milliseconds,
+  /// including any time blocked on another worker's build of a shared
+  /// WorkloadCache entry; under dispatch_order() that happens only to a
+  /// repeat taken at the boundary between the two halves.
   /// Non-deterministic; excluded from aggregate statistics.
   double wall_ms = 0.0;
   bool ok = false;
@@ -154,6 +174,13 @@ struct CampaignOptions {
 ScenarioResult run_scenario(const Scenario& scenario,
                             bool record_wall_time = true,
                             WorkloadCache* cache = nullptr);
+
+/// The order CampaignRunner's worker pool takes `scenarios` in: every
+/// non-sched_cost index, the first scenario of each distinct
+/// workload_key() first and every repeat after, both halves in registry
+/// order. Two first-half scenarios never share an entry; a repeat waits
+/// only if it starts while its entry is still being built.
+std::vector<std::size_t> dispatch_order(const std::vector<Scenario>& scenarios);
 
 /// Thread-pool campaign executor. Simulation scenarios run on the worker
 /// pool; sched_cost scenarios (wall-clock microbenchmarks) run serially

@@ -216,8 +216,8 @@ class OnlineSimulation {
       const SubtaskGraph& graph = *prep->graph;
       stride = std::max(stride, graph.size());
       for (std::size_t s = 0; s < graph.size(); ++s)
-        max_config =
-            std::max(max_config, graph.subtask(static_cast<SubtaskId>(s)).config);
+        max_config = std::max(
+            max_config, graph.subtask(static_cast<SubtaskId>(s)).config);
     }
     arena_.configure(stride, &perf_);
 
@@ -1330,7 +1330,9 @@ class OnlineSimulation {
                    static_cast<std::size_t>(slot.init_count));
 
     // The slot returns to the free list; the next admission reuses its
-    // vectors at capacity (the steady-state zero-allocation contract).
+    // vectors at capacity (the steady-state zero-allocation contract, which
+    // covers kernel containers only: the policy's by-value InstancePlan
+    // still allocates per admission, uncounted).
     arena_.release(slot_id);
     job_slot_[static_cast<std::size_t>(j)] = k_slot_retired;
     ++retired_;

@@ -35,10 +35,11 @@ std::string render_gantt(const SubtaskGraph& graph, const Placement& placement,
 
   // Port row: init loads, then scheduled loads shifted by init_duration.
   std::string port = empty;
-  const time_us latency = options.init_loads.empty()
-                              ? 0
-                              : options.init_duration /
-                                    static_cast<time_us>(options.init_loads.size());
+  const time_us latency =
+      options.init_loads.empty()
+          ? 0
+          : options.init_duration /
+                static_cast<time_us>(options.init_loads.size());
   for (std::size_t i = 0; i < options.init_loads.size(); ++i) {
     const time_us a = static_cast<time_us>(i) * latency;
     gantt_draw_box(port, x(a), x(a + latency),

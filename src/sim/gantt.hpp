@@ -24,7 +24,8 @@ struct GanttOptions {
 /// Executions appear as `=`-filled boxes labelled with the subtask name,
 /// loads as `L<id>` segments, idle time as spaces.
 std::string render_gantt(const SubtaskGraph& graph, const Placement& placement,
-                         const EvalResult& eval, const GanttOptions& options = {});
+                         const EvalResult& eval,
+                         const GanttOptions& options = {});
 
 /// Writes `label` into row[a..b) as a `fill`-filled box with the label
 /// overlaid centred, truncating what does not fit. Shared by this renderer

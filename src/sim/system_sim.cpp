@@ -263,9 +263,10 @@ class SystemSimulation {
       const SubtaskId s = sched.init_loads[i];
       const auto tile = static_cast<std::size_t>(
           placement.tile_of[static_cast<std::size_t>(s)]);
-      store_.record_load(binding.phys_of_tile[tile], graph.subtask(s).config,
-                         clock_ + sched.init_load_ends[i],
-                         static_cast<double>(values[static_cast<std::size_t>(s)]));
+      store_.record_load(
+          binding.phys_of_tile[tile], graph.subtask(s).config,
+          clock_ + sched.init_load_ends[i],
+          static_cast<double>(values[static_cast<std::size_t>(s)]));
     }
     // Scheduled loads and executions, walked per tile in execution order so
     // that the last load on a tile determines its resident configuration.

@@ -140,7 +140,8 @@ std::string render_trace_ascii(const TraceData& trace,
   };
 
   std::vector<std::string> rows(
-      lanes.names.size(), std::string(static_cast<std::size_t>(width) + 1, ' '));
+      lanes.names.size(),
+      std::string(static_cast<std::size_t>(width) + 1, ' '));
   for (const Box& box : lanes.boxes) {
     if (box.end <= lanes.from || box.start >= lanes.until) continue;
     gantt_draw_box(rows[box.lane], x(box.start), x(box.end), box.label,

@@ -24,6 +24,10 @@
 /// when they grow. Warm-up is delimited by the kernel (the first half of
 /// the instance stream retiring); steady_allocations() is the post-warm-up
 /// remainder, pinned to zero by tests/test_perf_stats.cpp on a long run.
+/// It counts kernel containers only: PrefetchPolicy::plan() returns its
+/// InstancePlan by value, so every admission still allocates the plan's
+/// vectors uncounted, and steady_allocations() == 0 does not make the
+/// admission path allocation-free.
 
 // PhaseTimer is the sanctioned host-side instrumentation; its readings are
 // reported, never fed to simulated state.

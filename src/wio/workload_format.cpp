@@ -60,7 +60,8 @@ double parse_double(const Token& token, int line, const char* what) {
 }
 
 /// Kahn's algorithm over the variant's edges; true iff acyclic.
-bool is_acyclic(std::size_t nodes, const std::vector<std::pair<int, int>>& edges) {
+bool is_acyclic(std::size_t nodes,
+                const std::vector<std::pair<int, int>>& edges) {
   std::vector<int> in_degree(nodes, 0);
   std::vector<std::vector<int>> succs(nodes);
   for (const auto& [from, to] : edges) {

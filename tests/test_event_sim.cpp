@@ -174,10 +174,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_F(OnlineFixture, ContentionStretchesResponseAndLoadsThePort) {
-  const auto idle = run_online_simulation(options(policy_names::no_prefetch, 0.001),
-                                          sampler);
-  const auto busy = run_online_simulation(options(policy_names::no_prefetch, 80.0),
-                                          sampler);
+  const auto idle = run_online_simulation(
+      options(policy_names::no_prefetch, 0.001), sampler);
+  const auto busy = run_online_simulation(
+      options(policy_names::no_prefetch, 80.0), sampler);
   // Same instance stream, so the ideal time is identical; contention can
   // only stretch spans and responses.
   EXPECT_EQ(idle.sim.total_ideal, busy.sim.total_ideal);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
+#include "util/check.hpp"
 
 namespace drhw {
 namespace {
@@ -159,6 +161,104 @@ TEST(SweepBuilder, ExpandsTheCartesianProduct) {
   EXPECT_EQ(single[0].sim.policy, PolicySpec(policy_names::hybrid));
 }
 
+TEST(WorkloadKey, GridPointsShareOneKey) {
+  const auto registry = ScenarioRegistry::builtin(100, 2005);
+  // The five approaches of one Figure 6 grid point.
+  const auto fig6 = registry.match("fig6/tiles12/");
+  ASSERT_EQ(fig6.size(), 5u);
+  for (const Scenario& s : fig6)
+    EXPECT_TRUE(workload_key(s) == workload_key(fig6.front())) << s.name;
+  // Figure 7's task and frame samplers prepare from one pocket_gl entry.
+  const auto fig7 = registry.match("fig7/tiles9/");
+  ASSERT_EQ(fig7.size(), 5u);
+  for (const Scenario& s : fig7) {
+    EXPECT_EQ(workload_key(s).family, WorkloadKind::pocket_gl) << s.name;
+    EXPECT_TRUE(workload_key(s) == workload_key(fig7.front())) << s.name;
+  }
+  EXPECT_FALSE(workload_key(fig6.front()) == workload_key(fig7.front()));
+  EXPECT_FALSE(workload_key(fig7.front()) ==
+               workload_key(registry.match("fig7/tiles10/").front()));
+}
+
+/// Whether `edit` moves `base` to another WorkloadCache entry.
+bool moves_key(const Scenario& base,
+               const std::function<void(Scenario&)>& edit) {
+  Scenario s = base;
+  edit(s);
+  return !(workload_key(s) == workload_key(base));
+}
+
+TEST(WorkloadKey, CoversEveryFieldPreparationReads) {
+  const Scenario base = quick_scenario("k", "k", policy_names::hybrid, 1);
+  EXPECT_TRUE(moves_key(base, [](Scenario& s) { s.sim.platform.tiles++; }));
+  EXPECT_TRUE(moves_key(
+      base, [](Scenario& s) { s.sim.platform.reconfig_ports = 2; }));
+  EXPECT_TRUE(moves_key(
+      base, [](Scenario& s) { s.sim.platform.reconfig_latency *= 2; }));
+  EXPECT_TRUE(moves_key(
+      base, [](Scenario& s) { s.design.bnb_load_threshold++; }));
+  EXPECT_TRUE(moves_key(
+      base, [](Scenario& s) { s.design.comm_aware_placement = true; }));
+  EXPECT_TRUE(moves_key(base, [](Scenario& s) { s.synthetic.graph_seed++; }));
+
+  Scenario multimedia = base;
+  multimedia.workload = WorkloadKind::multimedia;
+  EXPECT_TRUE(moves_key(
+      multimedia, [](Scenario& s) { s.task_filter = {"jpeg_dec"}; }));
+  Scenario file = base;
+  file.workload = WorkloadKind::file;
+  file.workload_file = "a.dwl";
+  EXPECT_TRUE(moves_key(file, [](Scenario& s) { s.workload_file = "b.dwl"; }));
+
+  EXPECT_FALSE(moves_key(base, [](Scenario& s) { s.sim.iterations *= 7; }));
+  EXPECT_FALSE(moves_key(base, [](Scenario& s) { s.sim.seed++; }));
+  EXPECT_FALSE(moves_key(
+      base, [](Scenario& s) { s.sim.policy = policy_names::runtime; }));
+  EXPECT_FALSE(moves_key(base, [](Scenario& s) {
+    s.mode = ScenarioMode::online;
+    s.arrivals.kind = ArrivalProcess::Kind::bursty;
+    s.arrivals.rate_per_s *= 3;
+  }));
+}
+
+TEST(WorkloadCache, SharesOneBuildPerKeyAndRejectsAnotherFamily) {
+  WorkloadCache cache;
+  const Scenario a = quick_scenario("a", "k", policy_names::hybrid, 1);
+  const Scenario b = quick_scenario("b", "k", policy_names::runtime, 2);
+  Scenario other_graphs = a;
+  other_graphs.synthetic.graph_seed += 1;
+  EXPECT_EQ(cache.synthetic(a).get(), cache.synthetic(b).get());
+  EXPECT_NE(cache.synthetic(a).get(), cache.synthetic(other_graphs).get());
+  EXPECT_THROW(cache.multimedia(a), InternalError);
+}
+
+TEST(CampaignRunner, DispatchOrderPutsOneScenarioPerEntryFirst) {
+  const auto scenarios = ScenarioRegistry::builtin(10, 1).scenarios();
+  const std::vector<std::size_t> order = dispatch_order(scenarios);
+
+  // A permutation of the non-sched_cost indices.
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < scenarios.size(); ++i)
+    if (scenarios[i].mode != ScenarioMode::sched_cost) expected.push_back(i);
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, expected);
+
+  // Every key's first occurrence precedes every repeat, and both halves
+  // keep registry order.
+  std::set<WorkloadKey> seen;
+  std::size_t firsts = 0;
+  while (firsts < order.size() &&
+         seen.insert(workload_key(scenarios[order[firsts]])).second)
+    ++firsts;
+  ASSERT_LT(firsts, order.size()) << "the registry has shared entries";
+  for (std::size_t at = firsts; at < order.size(); ++at)
+    EXPECT_TRUE(seen.count(workload_key(scenarios[order[at]])))
+        << scenarios[order[at]].name << " is a first occurrence";
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.begin() + firsts));
+  EXPECT_TRUE(std::is_sorted(order.begin() + firsts, order.end()));
+}
+
 TEST(CampaignRunner, ResultsAreIdenticalAcrossThreadCounts) {
   const auto scenarios = quick_campaign();
 
@@ -167,15 +267,25 @@ TEST(CampaignRunner, ResultsAreIdenticalAcrossThreadCounts) {
   one.record_wall_time = false;
   const auto serial = CampaignRunner(one).run(scenarios);
 
+  // 2 threads is the repository benchmark's setting.
+  CampaignOptions two;
+  two.threads = 2;
+  two.record_wall_time = false;
+  const auto dual = CampaignRunner(two).run(scenarios);
+
   CampaignOptions eight;
   eight.threads = 8;
   eight.record_wall_time = false;
   const auto parallel = CampaignRunner(eight).run(scenarios);
 
+  ASSERT_EQ(serial.size(), dual.size());
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i].ok) << serial[i].error;
+    EXPECT_EQ(serial[i].scenario.name, dual[i].scenario.name);
     EXPECT_EQ(serial[i].scenario.name, parallel[i].scenario.name);
+    EXPECT_EQ(deterministic_metrics(serial[i]), deterministic_metrics(dual[i]))
+        << serial[i].scenario.name;
     EXPECT_EQ(deterministic_metrics(serial[i]),
               deterministic_metrics(parallel[i]))
         << serial[i].scenario.name;

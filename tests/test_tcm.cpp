@@ -116,7 +116,8 @@ TEST(Selector, PipelineUpgradesUntilDeadline) {
   time_us fastest_total = 0;
   for (const auto& c : curves) fastest_total += c.back().exec_time;
 
-  const auto choice = select_points_for_pipeline(refs, fastest_total + ms(5), 8);
+  const auto choice =
+      select_points_for_pipeline(refs, fastest_total + ms(5), 8);
   ASSERT_EQ(choice.size(), curves.size());
   time_us total = 0;
   for (std::size_t t = 0; t < curves.size(); ++t)
